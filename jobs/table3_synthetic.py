@@ -13,11 +13,14 @@ Figures 5–24; figures themselves are out of scope).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from pyspark.sql import SparkSession
 
-sys.path.insert(0, "src")
+# The package sources, for the driver and (via executorEnv) the workers.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
 
 from repro.dataflow.batch import aggregate_table, run_batch
 from repro.experiments.params import FLOORS, OBJECTS, S2T, TI, Settings
@@ -42,7 +45,11 @@ def main() -> None:
     ap.add_argument("--instances", type=int, default=100)
     ap.add_argument("--sweep", choices=["s2t", "ti", "floors", "objects"])
     args = ap.parse_args()
-    spark = SparkSession.builder.appName("table3").getOrCreate()
+    spark = (
+        SparkSession.builder.appName("table3")
+        .config("spark.executorEnv.PYTHONPATH", SRC)
+        .getOrCreate()
+    )
     spark.sparkContext.setLogLevel("ERROR")
 
     if args.sweep:

@@ -12,11 +12,14 @@ Table 3 and the paper-vs-ours rendering.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from pyspark.sql import SparkSession
 
-sys.path.insert(0, "src")
+# The package sources, for the driver and (via executorEnv) the workers.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
 
 from repro.dataflow.batch import aggregate_table, run_batch
 from repro.experiments.params import Settings
@@ -28,7 +31,11 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--instances", type=int, default=100)
     args = ap.parse_args()
-    spark = SparkSession.builder.appName("table4").getOrCreate()
+    spark = (
+        SparkSession.builder.appName("table4")
+        .config("spark.executorEnv.PYTHONPATH", SRC)
+        .getOrCreate()
+    )
     spark.sparkContext.setLogLevel("ERROR")
     settings = Settings(n_instances=args.instances)
     world = build_mall_world(settings, spark)

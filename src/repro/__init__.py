@@ -3,8 +3,8 @@
 
 Subpackages:
 
-* :mod:`repro.core` — the paper's contribution: indoor crowd model, door
-  flow functions, routing costs (Eq. 1–4), the four population estimators
+* :mod:`repro.core` — the paper's contribution: indoor crowd model,
+  routing costs (Eq. 1–4), the four population estimators
   (Algorithms 1–2 plus Strategies PP and NT), the unified FPQ/LCPQ search
   (Algorithms 3–4), and the adaptive baseline.
 * :mod:`repro.space` — indoor-space substrates: the synthetic multi-floor
@@ -12,8 +12,7 @@ Subpackages:
   real dataset of Section 6.2, plus s2t-controlled query workloads.
 * :mod:`repro.gtg` — the general time-dependent graph baseline.
 * :mod:`repro.sim` — object-level microsimulation (gold standard).
-* :mod:`repro.dataflow` — the PySpark layer: graph DataFrames, Algorithm 1
-  as DataFrame supersteps, iterative SSSP, distributed query batches, and
+* :mod:`repro.dataflow` — the PySpark layer: distributed query batches and
   probabilistic trajectory→door-flow counting.
 * :mod:`repro.experiments` — Table 2 parameters, measurement harness and
   Table 3/4 renderers.

@@ -7,7 +7,8 @@ populations ``(P_tl, t_l)`` — and differ in how rigidly they evolve Eq. 6
 (``P[x] = P[x-1] − out(x) + in(x)`` with outflow rectification) forward:
 
 * ``GlobalEstimator`` — Algorithm 1: all partitions, tick by tick, with
-  globally consistent rectification (Figure 4).
+  globally consistent rectification (Figure 4) — ``rectified_step``, which
+  ``LocalEstimator`` applies to its masked flows as well.
 * ``LocalEstimator`` — Algorithm 2: only the queried partition and its
   *upstream cone* (the partitions whose rectified outflows feed it within
   the derivation window); per-tick work is proportional to the cone's edges.
@@ -30,6 +31,25 @@ import numpy as np
 
 from repro.core.model import IndoorCrowdModel
 from repro.core.timeline import reporting_mask
+
+
+def rectified_step(
+    model: IndoorCrowdModel, prev: np.ndarray, flow: np.ndarray
+) -> np.ndarray:
+    """One tick of Eq. 6: ``P[x] = P[x-1] − out(x) + in(x)``.
+
+    ``flow`` is each directed edge's expected flow at tick ``x`` (0 where
+    its door does not report).  Figure 4 rectification scales a partition's
+    outflows so they never exceed its population ``prev``.
+    """
+    m = model
+    out = np.bincount(m.e_src, weights=flow, minlength=m.n_partitions)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(out > prev, prev / np.where(out > 0, out, 1.0), 1.0)
+    flow = flow * scale[m.e_src]
+    out = np.minimum(out, prev)
+    inf = np.bincount(m.e_dst, weights=flow, minlength=m.n_partitions)
+    return prev - out + inf
 
 
 class GoldEstimator:
@@ -57,19 +77,10 @@ class GlobalEstimator:
 
     def _step(self, x: int) -> None:
         m = self.model
-        prev = self.pops[-1]
         flow = np.where(
             reporting_mask(self._edge_periods, x), m.e_lam, 0.0
         )
-        out = np.bincount(m.e_src, weights=flow, minlength=m.n_partitions)
-        # Figure 4 rectification: scale a partition's outflows so they never
-        # exceed its current population.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(out > prev, prev / np.where(out > 0, out, 1.0), 1.0)
-        flow = flow * scale[m.e_src]
-        out = np.minimum(out, prev)
-        inf = np.bincount(m.e_dst, weights=flow, minlength=m.n_partitions)
-        self.pops.append(prev - out + inf)
+        self.pops.append(rectified_step(m, self.pops[-1], flow))
 
     def ensure(self, tick: int) -> None:
         while self.tick0 + len(self.pops) - 1 < tick:
@@ -162,17 +173,7 @@ class LocalEstimator:
             src_needed = todo.copy()
             src_needed[m.e_src[rep & todo[m.e_dst]]] = True
             act = rep & src_needed[m.e_src]
-            flow = np.zeros(m.n_edges)
-            flow[act] = m.e_lam[act]
-            out = np.bincount(m.e_src, weights=flow, minlength=P)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(
-                    out > prev_pop, prev_pop / np.where(out > 0, out, 1.0), 1.0
-                )
-            flow = flow * scale[m.e_src]
-            out = np.minimum(out, prev_pop)
-            inf = np.bincount(m.e_dst, weights=flow, minlength=P)
-            new = prev_pop - out + inf
+            new = rectified_step(m, prev_pop, np.where(act, m.e_lam, 0.0))
             if x in self.pops:
                 self.pops[x] = np.where(todo, new, self.pops[x])
                 self.valid[x] = self.valid[x] | todo

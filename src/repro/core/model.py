@@ -10,8 +10,7 @@ A directed labeled graph ``G(V, E, L_V, L_E)``:
   ``λ``, Eq. 5) and a local array of recent actual flows ``F[t]``.
 
 Representation: flat NumPy arrays over partition / door / directed-edge
-indices — compact, picklable (for Spark broadcast), and directly convertible
-to vertex/edge DataFrames (``repro.dataflow.graph_df``).  ``M_d2d`` is not
+indices — compact and picklable (for Spark broadcast).  ``M_d2d`` is not
 materialized as per-vertex matrices: partitions are convex so it is the
 door-coordinate Euclidean distance, computed on demand (stairways carry an
 explicit walking length instead).
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.timeline import Timeline, update_ticks
+from repro.core.timeline import Timeline
 from repro.space.geometry import IndoorPoint, euclid
 
 
@@ -135,11 +134,6 @@ class IndoorCrowdModel:
         self.pop_l = np.asarray(pop_l, dtype=float).copy()
         self.hist_diff = hist_diff
         self.hist_ticks = hist_ticks
-
-    # -- NT support --------------------------------------------------------
-    def partition_update_ticks(self, v: int, lo: int, hi: int) -> np.ndarray:
-        """``{t ∈ UT(v) | lo < t ≤ hi}`` — Eq. 7's skipped-update count."""
-        return update_ticks(self.part_periods[v], lo, hi)
 
 
 def _group_indices(keys: np.ndarray, order: np.ndarray):

@@ -257,8 +257,7 @@ def static_distances(model: IndoorCrowdModel, ps: IndoorPoint) -> dict[tuple, fl
     """Crowd-free indoor walking distance from ``p_s`` to every door state.
 
     Plain Dijkstra over the same state graph with pure Eq. 1 distances —
-    used by the ``s2t``-controlled query-instance generator and as the
-    reference for the Spark SSSP.
+    used by the ``s2t``-controlled query-instance generator.
     """
     counter = itertools.count()
     dist: dict[tuple, float] = {_SOURCE: 0.0}

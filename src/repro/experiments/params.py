@@ -20,7 +20,6 @@ class Settings:
     n_instances: int = 100      # query instances per configuration
     t_q: float = 300.0          # query time (s past counter alignment)
     history_window: int = 30    # ticks of flow history kept for Strategy NT
-    eta: float = 3.0            # NT stability threshold (paper: η = 3)
     space_seed: int = 7
     sim_seed: int = 23
     query_seed: int = 17

@@ -16,6 +16,9 @@ from repro.sim.microsim import install_snapshot, simulate
 from repro.space.floorplan import BuiltSpace, synthetic_space
 from repro.space.queries import QueryInstance, generate_instances
 
+# Share of mall visitors whose devices the positioning system tracks.
+DEVICE_RATE = 0.05
+
 
 @dataclass
 class World:
@@ -52,29 +55,22 @@ def build_synthetic_world(settings: Settings = Settings()) -> World:
 
 
 def build_mall_world(
-    settings: Settings = Settings(),
-    spark=None,
+    settings: Settings,
+    spark,
     *,
     horizon_ticks: int = 900,
     n_objects: int = 1598,
     session_ticks: int = 190,
-    device_rate: float = 0.05,
     traj_seed: int = 13,
-    **traj_kwargs,
 ) -> World:
     """The Table 4 world: simulated mall + trajectory-derived door flows.
 
     The full real-data pipeline: random-walk ground truth → sparse gappy
-    positioning fixes → probabilistic door-flow counting (Spark when a
-    session is given, the pandas reference otherwise) → Poisson λ fitting
-    with a penetration correction → crowd-model snapshot from the counted
-    state.  Gold populations are the simulator's true occupancy.
+    positioning fixes → probabilistic door-flow counting on Spark → Poisson
+    λ fitting with a penetration correction → crowd-model snapshot from the
+    counted state.  Gold populations are the simulator's true occupancy.
     """
-    from repro.dataflow.trajectory_flows import (
-        count_door_flows,
-        count_door_flows_pandas,
-        fit_edge_lambdas,
-    )
+    from repro.dataflow.trajectory_flows import count_door_flows, fit_edge_lambdas
     from repro.space.mall import mall_space, simulate_trajectories
 
     bs = mall_space(ti=settings.ti, horizon_ticks=horizon_ticks, seed=settings.space_seed)
@@ -84,29 +80,20 @@ def build_mall_world(
         fix_interval=settings.ti,
         session_ticks=session_ticks,
         seed=traj_seed,
-        **traj_kwargs,
     )
     horizon_s = horizon_ticks * settings.ti
     # Observation model constants (not oracle quantities): a crossing can be
-    # counted only while its device is Wi-Fi-tracked (device_rate) and
+    # counted only while its device is Wi-Fi-tracked (DEVICE_RATE) and
     # inside its tracking session (duty cycle).  Per-fix dropouts are
     # handled by the probabilistic sub-path counting itself, so they do not
     # enter the correction.
-    penetration = device_rate * (session_ticks * settings.ti) / horizon_s
-    if spark is not None:
-        flows = count_door_flows(
-            spark, bs.model, spark.createDataFrame(tw.fixes), bucket_s=settings.ti
-        )
-        lam = fit_edge_lambdas(
-            flows, bs.model, n_buckets=horizon_ticks, penetration=penetration
-        )
-    else:
-        flows_pdf = count_door_flows_pandas(bs.model, tw.fixes, bucket_s=settings.ti)
-        lam = np.zeros(bs.model.n_edges)
-        if len(flows_pdf):
-            totals = flows_pdf.groupby("edge")["flow"].sum()
-            lam[totals.index.to_numpy()] = totals.to_numpy()
-        lam /= horizon_ticks * penetration
+    penetration = DEVICE_RATE * (session_ticks * settings.ti) / horizon_s
+    flows = count_door_flows(
+        spark, bs.model, spark.createDataFrame(tw.fixes), bucket_s=settings.ti
+    )
+    lam = fit_edge_lambdas(
+        flows, bs.model, n_buckets=horizon_ticks, penetration=penetration
+    )
     # Symmetrize each door's two directions: mall doors are bidirectional
     # with balanced traffic, and averaging the directions cancels the
     # sampling noise of the sparse fixes — otherwise the fitted flows carry
@@ -127,7 +114,7 @@ def build_mall_world(
     # integer microsimulation under the fitted flows, seeded with the
     # observed occupancy.  "dithered" keeps the noise at integer granularity
     # (the paper's real-data exact searches err at the 1e-15 scale).
-    pop0 = np.round(tw.occupancy[0] / device_rate).astype(np.int64)
+    pop0 = np.round(tw.occupancy[0] / DEVICE_RATE).astype(np.int64)
     sim = simulate(bs.model, pop0, seed=settings.sim_seed, flows="dithered")
     install_snapshot(
         bs.model, sim.pop, sim.diff, settings.tick_l, window=settings.history_window

@@ -38,11 +38,3 @@ def build_gtg(model: IndoorCrowdModel) -> dict[int, list[tuple[int, int, float]]
                 adj[int(d_i)].append((int(d_j), v, model.d2d(v, int(d_i), int(d_j))))
     return dict(adj)
 
-
-def gtg_sizes(model: IndoorCrowdModel) -> tuple[int, int]:
-    """(vertices, edges) of the GTG — the Appendix A size comparison."""
-    n_edges = 0
-    for v in range(model.n_partitions):
-        k = len(model.partition_doors(v))
-        n_edges += k * (k - 1)
-    return model.n_doors, n_edges

@@ -22,6 +22,9 @@ import numpy as np
 from repro.core.model import IndoorCrowdModel
 from repro.core.timeline import reporting_mask
 
+# Share ε of each report's λ drawn as Poisson noise in the "mixed" mode.
+BURST_FRAC = 0.1
+
 
 @dataclass
 class SimResult:
@@ -58,30 +61,25 @@ def simulate(
     *,
     seed: int = 23,
     flows: str = "mixed",
-    burst_frac: float = 0.1,
 ) -> SimResult:
     """Run the closed-space microsimulation over the model's whole horizon.
 
     ``flows`` picks the integer draw for each edge report:
 
-    * ``"dithered"`` (default) — deterministic rate integration with a
-      random per-edge phase: the edge's cumulative rate ``Σλ`` is emitted as
-      integers (``⌊C+φ⌋ − ⌊C'+φ⌋``), so actual flows deviate from the
-      expectation by less than one object per edge *in total*, not per tick.
-      This matches the paper's evaluation regime: its exact searches score
-      relative errors of ~1e-8/1e-15 against the gold standard, i.e. the
-      simulated trajectories track the expected-flow dynamics almost
-      exactly, with only integer-granularity noise.
+    * ``"dithered"`` — deterministic rate integration with a random per-edge
+      phase: the edge's cumulative rate ``Σλ`` is emitted as integers
+      (``⌊C+φ⌋ − ⌊C'+φ⌋``), so actual flows deviate from the expectation by
+      less than one object per edge *in total*, not per tick.  This matches
+      the paper's evaluation regime: its exact searches score relative
+      errors of ~1e-8/1e-15 against the gold standard, i.e. the simulated
+      trajectories track the expected-flow dynamics almost exactly, with
+      only integer-granularity noise.
     * ``"mixed"`` (default) — ``dithered((1−ε)λ) + Poisson(ελ)`` with
-      ε = ``burst_frac``: the expectation dynamics plus a small stochastic
+      ε = ``BURST_FRAC``: the expectation dynamics plus a small stochastic
       component, so exact searches stay near-perfect but occasionally lose a
       path to noise — the paper's 98%/83% hit-rate regime.
-    * ``"rounded"`` — stochastic rounding ``⌊λ⌋ + Bernoulli(λ − ⌊λ⌋)``:
-      mean λ, variance ≤ 1/4 per report (noise grows ~√t).
-    * ``"poisson"`` — full ``Poisson(λ)`` draws (Eq. 5 verbatim); the
-      noisiest world, for robustness tests.
     """
-    if flows not in ("mixed", "dithered", "rounded", "poisson"):
+    if flows not in ("mixed", "dithered"):
         raise ValueError(f"unknown flow mode {flows!r}")
     H, P, M = model.timeline.horizon, model.n_partitions, model.n_edges
     rng = np.random.default_rng(seed)
@@ -99,21 +97,13 @@ def simulate(
         act = reporting_mask(edge_periods, x)
         desired = np.zeros(M, dtype=np.int64)
         lam = model.e_lam[act]
-        if flows == "poisson":
-            desired[act] = rng.poisson(lam)
-        elif flows == "rounded":
-            base = np.floor(lam)
-            desired[act] = (base + (rng.random(len(lam)) < (lam - base))).astype(
-                np.int64
-            )
-        else:  # dithered or mixed
-            det_lam = lam * (1.0 - burst_frac) if flows == "mixed" else lam
-            cum[act] += det_lam
-            total = np.floor(cum[act] + phase[act]).astype(np.int64)
-            desired[act] = total - emitted[act]
-            emitted[act] = total
-            if flows == "mixed":
-                desired[act] += rng.poisson(lam * burst_frac)
+        det_lam = lam * (1.0 - BURST_FRAC) if flows == "mixed" else lam
+        cum[act] += det_lam
+        total = np.floor(cum[act] + phase[act]).astype(np.int64)
+        desired[act] = total - emitted[act]
+        emitted[act] = total
+        if flows == "mixed":
+            desired[act] += rng.poisson(lam * BURST_FRAC)
         outs = np.bincount(model.e_src, weights=desired, minlength=P)
         for v in np.flatnonzero(outs > cur):
             idx = model.out_edges[v]

@@ -6,8 +6,7 @@ expand from d to find a random point p_t whose indoor distance to p_s
 approaches s2t."  For each s2t value the paper generates 100 such pairs.
 
 The crowd-free indoor distance comes from ``static_distances`` (Dijkstra
-over Eq. 1 door-to-door distances) — the same metric the Spark SSSP job
-validates.
+over Eq. 1 door-to-door distances).
 """
 from __future__ import annotations
 

@@ -21,6 +21,12 @@ def world():
     return bs, sim
 
 
+def _update_count(model, v, lo, hi):
+    """Brute force ``|{t ∈ UT(v) | lo < t ≤ hi}|``: ticks some door period of v divides."""
+    periods = [int(p) for p in model.door_period[model.partition_doors(v)]]
+    return sum(any(t % p == 0 for p in periods) for t in range(lo + 1, hi + 1))
+
+
 def _reference_global(model, tick):
     """Straight-line NumPy transcription of Algorithm 1 (reference)."""
     P = model.n_partitions
@@ -150,7 +156,7 @@ def test_nt_skips_stable_partition_with_eq7(world):
     nt = NTEstimator(m, eta=1e9)  # force every partition stable
     for v in range(m.n_partitions):
         mu, _ = nt.stats(v)
-        k = len(m.partition_update_ticks(v, m.tick_l, 50))
+        k = _update_count(m, v, m.tick_l, 50)
         assert nt.population(v, 50) == pytest.approx(m.pop_l[v] + mu * k)
 
 
@@ -168,6 +174,7 @@ def test_nt_no_history_never_skips():
     sim = simulate(bs.model, bs.pop0, seed=2)
     bs.model.set_snapshot(10, sim.pop[10].astype(float))  # no history
     nt = NTEstimator(bs.model)
+    assert nt.eta == 3.0  # the paper's η
     pp = PPEstimator(bs.model)
     assert nt.population(3, 30) == pytest.approx(pp.population(3, 30))
 
@@ -178,9 +185,7 @@ def test_nt_count_updates_matches_bruteforce(world, tick):
     m = bs.model
     nt = NTEstimator(m)
     for v in range(m.n_partitions):
-        assert nt._count_updates(v, tick) == len(
-            m.partition_update_ticks(v, m.tick_l, tick)
-        )
+        assert nt._count_updates(v, tick) == _update_count(m, v, m.tick_l, tick)
 
 
 def test_gold_estimator_lookup(world):

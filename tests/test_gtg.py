@@ -4,33 +4,31 @@ import pytest
 
 from repro.core.estimators import GlobalEstimator
 from repro.core.search import FPQ, LCPQ, search
-from repro.gtg.graph import build_gtg, gtg_sizes
+from repro.gtg.graph import build_gtg
 from repro.gtg.search import gtg_search
 
 
-def test_gtg_sizes_formula(tiny_space):
-    m = tiny_space.model
-    verts, edges = gtg_sizes(m)
-    assert verts == m.n_doors
-    expected = sum(
+def _gtg_edge_formula(m):
+    """Appendix A: ``Σ_v |D_v|·(|D_v|−1)`` ordered door pairs per partition."""
+    return sum(
         len(m.partition_doors(v)) * (len(m.partition_doors(v)) - 1)
         for v in range(m.n_partitions)
     )
-    assert edges == expected
 
 
 def test_gtg_has_more_edges_than_crowd_model(tiny_space):
     """Appendix A: the GTG contains many more door-to-door edges."""
     m = tiny_space.model
-    _, gtg_edges = gtg_sizes(m)
-    assert gtg_edges > m.n_edges
+    adj = build_gtg(m)
+    assert sum(len(v) for v in adj.values()) > m.n_edges
 
 
 def test_adjacency_matches_sizes(tiny_space):
     m = tiny_space.model
     adj = build_gtg(m)
     n_edges = sum(len(v) for v in adj.values())
-    assert n_edges == gtg_sizes(m)[1]
+    assert n_edges == _gtg_edge_formula(m)
+    assert set(adj) <= set(range(m.n_doors))  # vertices are doors
 
 
 def test_adjacency_distances_symmetric(tiny_space):

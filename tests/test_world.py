@@ -40,14 +40,14 @@ def test_settings_defaults_are_paper_bold_values():
     assert s.obj_max == 600
     assert s.ti == 10.0
     assert s.s2t == 1300.0
-    assert s.eta == 3.0
 
 
 @pytest.fixture(scope="module")
-def mini_mall():
+def mini_mall(spark):
     # shrunken trajectory world over the full mall topology
     return build_mall_world(
         Settings(n_instances=3),
+        spark,
         horizon_ticks=420,
         n_objects=200,
         session_ticks=60,
