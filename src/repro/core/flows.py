@@ -4,10 +4,11 @@ Each directed edge ``(v_i, v_j, d_k)`` carries a door flow function
 ``f : t ↦ P_t`` with ``P_t ~ Poisson(λ)`` (Eq. 5): the number of objects
 flowing from ``v_i`` to ``v_j`` between report timestamp ``t`` and the next.
 The framework only ever consumes the *expected* value ``f.λ`` (estimation)
-or an actual *draw* (simulation / gold standard), so the module exposes both,
-plus the λ fitting used for the mall dataset (historical-mean MLE; the paper
-defers trend-fitting details to [5] and assumes an up-to-date λ at query
-time).
+or an actual *draw* (simulation / gold standard), so the module exposes both:
+``sim.microsim`` takes its Poisson draws from ``draw_flows``, and the λ fit
+is the historical-mean MLE (the paper defers trend-fitting details to [5]
+and assumes an up-to-date λ at query time), which the mall computes per
+edge in Spark (``dataflow.trajectory_flows.fit_edge_lambdas``).
 """
 from __future__ import annotations
 

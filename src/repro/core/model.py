@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.timeline import Timeline
+from repro.core.timeline import Timeline, update_ticks
 from repro.space.geometry import IndoorPoint, euclid
 
 
@@ -134,6 +134,11 @@ class IndoorCrowdModel:
         self.pop_l = np.asarray(pop_l, dtype=float).copy()
         self.hist_diff = hist_diff
         self.hist_ticks = hist_ticks
+
+    # -- NT support --------------------------------------------------------
+    def partition_update_ticks(self, v: int, lo: int, hi: int) -> np.ndarray:
+        """``{t ∈ UT(v) | lo < t ≤ hi}`` — Eq. 7's skipped-update count."""
+        return update_ticks(self.part_periods[v], lo, hi)
 
 
 def _group_indices(keys: np.ndarray, order: np.ndarray):

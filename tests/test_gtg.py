@@ -16,6 +16,13 @@ def _gtg_edge_formula(m):
     )
 
 
+def test_gtg_sizes_formula(tiny_space):
+    m = tiny_space.model
+    adj = build_gtg(m)
+    assert sum(len(v) for v in adj.values()) == _gtg_edge_formula(m)
+    assert set(adj) <= set(range(m.n_doors))  # vertices are doors
+
+
 def test_gtg_has_more_edges_than_crowd_model(tiny_space):
     """Appendix A: the GTG contains many more door-to-door edges."""
     m = tiny_space.model
@@ -24,11 +31,19 @@ def test_gtg_has_more_edges_than_crowd_model(tiny_space):
 
 
 def test_adjacency_matches_sizes(tiny_space):
+    """Door ``d`` has ``|D_v| − 1`` out-edges through each partition ``v ∋ d``."""
     m = tiny_space.model
     adj = build_gtg(m)
-    n_edges = sum(len(v) for v in adj.values())
-    assert n_edges == _gtg_edge_formula(m)
-    assert set(adj) <= set(range(m.n_doors))  # vertices are doors
+    expect = {}
+    for v in range(m.n_partitions):
+        doors = m.partition_doors(v)
+        for d in doors:
+            expect[int(d)] = expect.get(int(d), 0) + len(doors) - 1
+    got = {d: len(outs) for d, outs in adj.items()}
+    assert got == {d: k for d, k in expect.items() if k}
+    for d_i, outs in adj.items():
+        for d_j, v, _ in outs:
+            assert {d_i, d_j} <= set(m.partition_doors(v).tolist())
 
 
 def test_adjacency_distances_symmetric(tiny_space):

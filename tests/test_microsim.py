@@ -13,14 +13,14 @@ def space():
     return make_tiny_space()
 
 
-@pytest.mark.parametrize("flows", ["mixed", "dithered"])
+@pytest.mark.parametrize("flows", ["mixed", "dithered", "rounded", "poisson"])
 def test_population_conserved(space, flows):
     sim = simulate(space.model, space.pop0, seed=1, flows=flows)
     totals = sim.pop.sum(axis=1)
     assert (totals == space.pop0.sum()).all()
 
 
-@pytest.mark.parametrize("flows", ["mixed", "dithered"])
+@pytest.mark.parametrize("flows", ["mixed", "dithered", "rounded", "poisson"])
 def test_population_nonnegative(space, flows):
     sim = simulate(space.model, space.pop0, seed=2, flows=flows)
     assert (sim.pop >= 0).all()

@@ -1,72 +1,32 @@
-"""Tests for the synthetic-data generators (TPC-H-lite + indoor schema)."""
+"""Tests for the synthetic indoor data the dataflow layer consumes."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
+from repro.space.floorplan import synthetic_space
+from repro.space.mall import simulate_trajectories
 
 
-def test_lineitem_schema_and_scale(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    assert li.count() == 6000
-    assert "l_orderkey" in li.columns and "l_shipdate" in li.columns
+@pytest.fixture(scope="module")
+def fixes(spark):
+    """Positioning fixes (mac, t, partition, x, y, z) from a 1-floor walk."""
+    bs = synthetic_space(floors=1, seed=7, horizon_ticks=120)
+    tw = simulate_trajectories(bs, n_objects=20, session_ticks=30, seed=7)
+    return spark.createDataFrame(tw.fixes)
 
 
-def test_orders_keys_dense(spark):
-    o = synth_data.orders(spark, sf=0.001)
-    assert o.count() == 1500
-    assert o.agg(F.min("o_orderkey")).first()[0] == 1
-    assert o.agg(F.max("o_orderkey")).first()[0] == 1500
+def test_indoor_trajectories_schema(fixes):
+    assert {"mac", "t", "partition", "x", "y", "z"} <= set(fixes.columns)
+    assert fixes.count() > 0
+    assert fixes.select("mac").distinct().count() <= 20
 
 
-def test_oracle_on_tpch_lite_join(spark):
-    """The provided oracle catches result mismatches on a real query."""
-    li = synth_data.lineitem(spark, sf=0.001)
-    o = synth_data.orders(spark, sf=0.001)
-    got = (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .groupBy("o_orderpriority")
-        .agg(F.count("*").alias("n"), F.sum("l_quantity").alias("qty"))
-    )
-    sql = """
-        SELECT o_orderpriority, COUNT(*) AS n, SUM(l_quantity) AS qty
-        FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-        GROUP BY o_orderpriority
-    """
-    assert_equivalent(got, sql, lineitem=li, orders=o)
-
-
-def test_oracle_detects_wrong_result(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    wrong = li.groupBy("l_returnflag").agg((F.count("*") + 1).alias("n"))
+def test_oracle_detects_wrong_result(fixes):
+    """The DuckDB oracle rejects an indoor aggregation that is off by one."""
+    wrong = fixes.groupBy("partition").agg((F.count("*") + 1).alias("n"))
     with pytest.raises(AssertionError):
         assert_equivalent(
             wrong,
-            "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
+            "SELECT partition, COUNT(*) AS n FROM fixes GROUP BY partition",
+            fixes=fixes,
         )
-
-
-def test_zipf_keys_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=20000, n_keys=100).toPandas()
-    counts = df["k"].value_counts()
-    assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-
-def test_indoor_partitions_schema(spark):
-    v = synth_data.indoor_partitions(spark, floors=1)
-    assert v.count() == 141
-    assert {"partition", "area", "is_q", "capacity"} <= set(v.columns)
-
-
-def test_indoor_doors_schema(spark):
-    e = synth_data.indoor_doors(spark, floors=1)
-    assert e.count() == 216 * 2  # bidirectional doors → two directed edges
-    assert {"src", "dst", "door", "lam", "period"} <= set(e.columns)
-
-
-def test_indoor_trajectories_schema(spark):
-    t = synth_data.indoor_trajectories(spark, floors=1, n_objects=20)
-    assert {"mac", "t", "partition", "x", "y", "z"} <= set(t.columns)
-    assert t.count() > 0
-    assert t.select("mac").distinct().count() <= 20

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.timeline import Timeline, reporting_mask
+from repro.core.timeline import Timeline, reporting_mask, update_ticks
 
 
 @pytest.mark.parametrize(
@@ -46,3 +46,26 @@ def test_reporting_mask_vector():
 def test_reporting_mask_tick0_all_aligned():
     periods = np.arange(1, 6)
     assert reporting_mask(periods, 0).all()
+
+
+@pytest.mark.parametrize(
+    "periods,lo,hi,expected",
+    [
+        ([2], 0, 10, [2, 4, 6, 8, 10]),
+        ([2, 3], 0, 6, [2, 3, 4, 6]),
+        ([5], 4, 5, [5]),
+        ([5], 5, 5, []),
+        ([3], 10, 9, []),
+    ],
+)
+def test_update_ticks(periods, lo, hi, expected):
+    assert update_ticks(np.array(periods), lo, hi).tolist() == expected
+
+
+def test_update_ticks_empty_periods():
+    assert update_ticks(np.array([], dtype=int), 0, 10).tolist() == []
+
+
+def test_update_ticks_is_sorted_unique():
+    out = update_ticks(np.array([2, 3, 4]), 0, 50)
+    assert (np.diff(out) > 0).all()
