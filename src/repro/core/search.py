@@ -7,14 +7,21 @@ One Dijkstra-style label-setting search processes both query types:
 
 per Problems 1 and 2 (minimize the primary cost; among ties, the shortest).
 
-Search states are ``(door, partition-entered)`` pairs rather than bare doors:
-with directed doors a door can be approached from either side and the
-partition one ends up in differs — the paper's Algorithm 3 encodes the same
-information as "``d_i``'s enterable partition minus the previous partition".
+Search states are directed-edge ids — the pair "door passed, partition
+entered" — rather than bare doors: with directed doors a door can be
+approached from either side and the partition one ends up in differs.  The
+paper's Algorithm 3 encodes the same information as "``d_i``'s enterable
+partition minus the previous partition".  ``_SearchCache`` is the one
+definition of this state graph; ``static_distances`` (the crowd-free
+Dijkstra behind query generation) walks it too.
+
 Costs are computed *on the fly* (Algorithm 4's Cost): the time to pass a
 partition depends on its population at the arrival time, which depends on the
-time spent so far — the population estimator is queried with the
-tick covering ``t_q + elapsed``.
+time spent so far — the population estimator is queried with the tick
+covering ``t_q + elapsed``, and ``core.costs`` turns that population into
+Eq. 2–4 costs.  The leg to ``p_t`` is a pseudo-neighbour listed first in its
+host partition, so every leg goes through one relaxation block and one Eq. 1
+length rule (``_leg``).
 
 The search is exact for whichever estimator it is given; plugging in the
 global / local / PP / NT / gold estimators yields *PQ-G, *PQ, *PQ-PP,
@@ -27,15 +34,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from repro.core.costs import passing_contact, passing_time
+from repro.core.costs import crowd_factors, passing_costs
 from repro.core.model import IndoorCrowdModel
-from repro.space.geometry import IndoorPoint, euclid
+from repro.space.geometry import IndoorPoint
 
 FPQ = "FPQ"
 LCPQ = "LCPQ"
 
-_SOURCE = -1  # virtual state for p_s
-_TARGET = -2  # virtual state for p_t
+_SOURCE = -1  # virtual state (and pseudo-door) for p_s
+_TARGET = -2  # virtual state (and pseudo-door) for p_t
 
 
 @dataclass(frozen=True)
@@ -59,17 +66,12 @@ def segment_cost(
     """(passing time, passing contact) for one segment through ``v``.
 
     Implements Algorithm 4's inline Cost: look up the partition's population
-    at the unit interval covering the arrival time, then apply Eq. 3 / Eq. 4.
+    at the unit interval covering the arrival time, then apply Eq. 2–4.
     """
-    tick = model.timeline.tick(arrival_s)
-    pop = max(0.0, estimator.population(v, tick))
-    area = float(model.area[v])
-    density = pop / area
-    d_max = float(model.cap[v]) / area
-    is_q = bool(model.is_q[v])
-    t = passing_time(dist, density, d_max, is_q, model.speed)
-    k = passing_contact(dist, density, area, is_q)
-    return t, k
+    sc = _cache(model)
+    pop = estimator.population(v, model.timeline.tick(arrival_s))
+    rho, pop, dens = crowd_factors(pop, sc.area[v], sc.dmax[v], sc.is_q[v])
+    return passing_costs(dist, model.speed, rho, pop, dens, sc.is_q[v])
 
 
 class _SearchCache:
@@ -78,26 +80,22 @@ class _SearchCache:
     The search relaxes a few thousand edges per query; NumPy scalar indexing
     and per-call function dispatch would dominate the measurement, so door
     coordinates, per-partition out-edge lists and vertex labels are lowered
-    to Python lists once per model.  A search *state* is a directed-edge id
-    (the pair "door passed, partition entered"), which is exactly the
-    information Algorithm 3 keeps via its prev-partition bookkeeping.
+    to Python lists once per model.  ``out_lists[v]`` holds
+    ``(edge, door, door xyz)`` for every edge leaving ``v``.
     """
 
     def __init__(self, model: IndoorCrowdModel):
-        self.coords = [tuple(c) for c in model.door_xyz]
+        self.coords = [tuple(float(x) for x in c) for c in model.door_xyz]
+        self.e_door = [int(d) for d in model.e_door]
+        self.e_dst = [int(v) for v in model.e_dst]
         self.out_lists = [
-            [
-                (int(e), int(model.e_door[e]), int(model.e_dst[e]))
-                for e in model.out_edges[v]
-            ]
+            [(int(e), self.e_door[e], self.coords[self.e_door[e]]) for e in model.out_edges[v]]
             for v in range(model.n_partitions)
         ]
         self.stair = [float(s) for s in model.stair_len]
         self.area = [float(a) for a in model.area]
         self.dmax = [float(c / a) for c, a in zip(model.cap, model.area)]
         self.is_q = [bool(q) for q in model.is_q]
-        self.e_door = [int(d) for d in model.e_door]
-        self.e_dst = [int(v) for v in model.e_dst]
         self.edge_by_door_dst = {
             (d, v): e
             for e, (d, v) in enumerate(zip(self.e_door, self.e_dst))
@@ -110,6 +108,22 @@ def _cache(model: IndoorCrowdModel) -> _SearchCache:
         got = _SearchCache(model)
         model._search_cache = got
     return got
+
+
+def _leg(stair: float, a: int, a_xyz, b: int, b_xyz) -> float:
+    """Eq. 1: walking length from door (or point) ``a`` to ``b`` in one partition.
+
+    Same door → 0; a stairway leg that touches a door → the stairway's
+    walking length; otherwise the straight line (partitions are convex), as
+    for the direct ``p_s → p_t`` leg.  Points pass negative ids.
+    """
+    if a == b:
+        return 0.0
+    if stair > 0.0 and (a >= 0 or b >= 0):
+        return stair
+    return math.sqrt(
+        (a_xyz[0] - b_xyz[0]) ** 2 + (a_xyz[1] - b_xyz[1]) ** 2 + (a_xyz[2] - b_xyz[2]) ** 2
+    )
 
 
 def search(
@@ -132,12 +146,11 @@ def search(
     ti = model.timeline.ti
     max_tick = model.timeline.horizon - 1
     speed = model.speed
-    exp = math.exp
     population = estimator.population
     pt_part = pt.partition
-    pt_xyz = pt.xyz
+    # towards p_t when the current partition hosts it (Alg. 3 l.19-20)
+    pt_list = [(_TARGET, _TARGET, pt.xyz), *sc.out_lists[pt_part]]
 
-    # states: directed-edge ids; -1 = source, -2 = target
     counter = itertools.count()
     best: dict[int, tuple[float, float]] = {}
     prev: dict[int, int] = {}
@@ -162,58 +175,23 @@ def search(
             final_cost = (dist_c, time_c, contact_c)
             break
         if state == _SOURCE:
-            v = ps.partition
-            fx, fy, fz = ps.xyz
-            from_door = -1
+            v, from_door, from_xyz = ps.partition, _SOURCE, ps.xyz
         else:
-            from_door = sc.e_door[state]
-            v = sc.e_dst[state] if state != origin else origin_partition
-            fx, fy, fz = sc.coords[from_door]
-        arrival = t_q + time_c
+            v, from_door = sc.e_dst[state], sc.e_door[state]
+            from_xyz = sc.coords[from_door]
         # population-dependent factors of the current partition (Alg. 4 Cost)
-        tick = int(arrival // ti)
+        tick = int((t_q + time_c) // ti)
         if tick > max_tick:
             tick = max_tick
-        pop = population(v, tick)
-        if pop < 0.0:
-            pop = 0.0
-        area = sc.area[v]
-        dens = pop / area
-        ratio = dens / sc.dmax[v]
         is_q = sc.is_q[v]
-        exponent = ratio if is_q else ratio * ratio
-        rho = 1.0 + exp(exponent if exponent < 60.0 else 60.0)
+        rho, pop, dens = crowd_factors(population(v, tick), sc.area[v], sc.dmax[v], is_q)
         stair = sc.stair[v]
-        # towards p_t when the current partition hosts it (Alg. 3 l.19-20)
-        if v == pt_part:
-            if stair > 0.0 and from_door >= 0:
-                seg = stair
-            else:
-                seg = math.sqrt(
-                    (fx - pt_xyz[0]) ** 2 + (fy - pt_xyz[1]) ** 2 + (fz - pt_xyz[2]) ** 2
-                )
-            dt = (seg / speed) * rho
-            dk = (1.0 / max(seg, 1.0)) * pop if is_q else seg * dens
-            nc = (dist_c + seg, time_c + dt, contact_c + dk)
-            nk = (nc[1], nc[0]) if fpq else (nc[2], nc[0])
-            old = best.get(_TARGET)
-            if old is None or nk < old:
-                best[_TARGET] = nk
-                prev[_TARGET] = state
-                heapq.heappush(heap, (nk, next(counter), _TARGET, *nc))
         # expand to every unvisited leaveable door of v (Alg. 3 l.21-22)
-        for e, d_out, _v2 in sc.out_lists[v]:
+        for e, d_out, to_xyz in pt_list if v == pt_part else sc.out_lists[v]:
             if e in done:
                 continue
-            dx, dy, dz = sc.coords[d_out]
-            if stair > 0.0 and from_door >= 0 and d_out != from_door:
-                seg = stair
-            elif d_out == from_door:
-                seg = 0.0
-            else:
-                seg = math.sqrt((fx - dx) ** 2 + (fy - dy) ** 2 + (fz - dz) ** 2)
-            dt = (seg / speed) * rho
-            dk = (1.0 / max(seg, 1.0)) * pop if is_q else seg * dens
+            seg = _leg(stair, from_door, from_xyz, d_out, to_xyz)
+            dt, dk = passing_costs(seg, speed, rho, pop, dens, is_q)
             nc0 = dist_c + seg
             nc1 = time_c + dt
             nc2 = contact_c + dk
@@ -238,7 +216,7 @@ def _build_result(
     doors: list[int] = []
     partitions: list[int] = []
     state = prev[_TARGET]
-    while state != origin and state != _SOURCE:
+    while state != origin:
         doors.append(sc.e_door[state])
         partitions.append(sc.e_dst[state])
         state = prev[state]
@@ -253,39 +231,34 @@ def _build_result(
     )
 
 
-def static_distances(model: IndoorCrowdModel, ps: IndoorPoint) -> dict[tuple, float]:
-    """Crowd-free indoor walking distance from ``p_s`` to every door state.
+def static_distances(model: IndoorCrowdModel, ps: IndoorPoint) -> dict[int, float]:
+    """Crowd-free indoor walking distance from ``p_s`` to every edge state.
 
-    Plain Dijkstra over the same state graph with pure Eq. 1 distances —
-    used by the ``s2t``-controlled query-instance generator.
+    Plain Dijkstra over the search's state graph with pure Eq. 1 distances,
+    keyed by directed-edge id — used by the ``s2t``-controlled query-instance
+    generator.
     """
+    sc = _cache(model)
     counter = itertools.count()
-    dist: dict[tuple, float] = {_SOURCE: 0.0}
+    dist: dict[int, float] = {}
     heap: list[tuple] = [(0.0, next(counter), _SOURCE)]
-    done: set[tuple] = set()
+    done: set[int] = set()
     while heap:
         d, _, state = heapq.heappop(heap)
         if state in done:
             continue
         done.add(state)
         if state == _SOURCE:
-            v, from_door = ps.partition, None
+            v, from_door, from_xyz = ps.partition, _SOURCE, ps.xyz
         else:
-            _, door, v = state
-            from_door = door
-        for e in model.out_edges[v]:
-            d_out = int(model.e_door[e])
-            nxt = ("D", d_out, int(model.e_dst[e]))
-            if nxt in done:
+            v, from_door = sc.e_dst[state], sc.e_door[state]
+            from_xyz = sc.coords[from_door]
+        stair = sc.stair[v]
+        for e, d_out, to_xyz in sc.out_lists[v]:
+            if e in done:
                 continue
-            seg = (
-                model.point_to_door(ps, d_out)
-                if from_door is None
-                else model.d2d(v, from_door, d_out)
-            )
-            nd = d + seg
-            if nd < dist.get(nxt, float("inf")):
-                dist[nxt] = nd
-                heapq.heappush(heap, (nd, next(counter), nxt))
-    dist.pop(_SOURCE)
+            nd = d + _leg(stair, from_door, from_xyz, d_out, to_xyz)
+            if nd < dist.get(e, math.inf):
+                dist[e] = nd
+                heapq.heappush(heap, (nd, next(counter), e))
     return dist

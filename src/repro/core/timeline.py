@@ -42,18 +42,3 @@ def reporting_mask(periods: np.ndarray, tick: int) -> np.ndarray:
     Tick 0 is the aligned initial report of every door.
     """
     return (tick % periods) == 0
-
-
-def update_ticks(periods: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Ticks in ``(lo, hi]`` at which *any* of the given doors reports.
-
-    This is ``UT(v_k)`` restricted to a range: the union of the doors'
-    report timestamps (Section 2.1).
-    """
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64)
-    ticks = np.arange(lo + 1, hi + 1, dtype=np.int64)
-    if len(periods) == 0:
-        return np.empty(0, dtype=np.int64)
-    mask = (ticks[:, None] % np.asarray(periods)[None, :] == 0).any(axis=1)
-    return ticks[mask]

@@ -37,6 +37,16 @@ from repro.space.queries import QueryInstance
 ALGORITHMS = ("", "-G", "-PP", "-NT", "-GTG", "-A")
 
 
+# Estimator class per algorithm; "-A" observes the gold table instead.
+_ESTIMATORS = {
+    "": LocalEstimator,
+    "-G": GlobalEstimator,
+    "-PP": PPEstimator,
+    "-NT": NTEstimator,
+    "-GTG": GlobalEstimator,
+}
+
+
 def run_query(
     model: IndoorCrowdModel,
     gold_table: np.ndarray,
@@ -45,19 +55,14 @@ def run_query(
     alg: str,
 ) -> PathResult | None:
     """One query with a fresh estimator — the unit the paper measures."""
-    if alg == "":
-        return search(model, LocalEstimator(model), inst.ps, inst.pt, model_tq(model), qt)
-    if alg == "-G":
-        return search(model, GlobalEstimator(model), inst.ps, inst.pt, model_tq(model), qt)
-    if alg == "-PP":
-        return search(model, PPEstimator(model), inst.ps, inst.pt, model_tq(model), qt)
-    if alg == "-NT":
-        return search(model, NTEstimator(model), inst.ps, inst.pt, model_tq(model), qt)
-    if alg == "-GTG":
-        return gtg_search(model, GlobalEstimator(model), inst.ps, inst.pt, model_tq(model), qt)
+    t_q = model_tq(model)
     if alg == "-A":
-        return adaptive_search(model, gold_table, inst.ps, inst.pt, model_tq(model), qt)
-    raise ValueError(f"unknown algorithm {alg!r}")
+        return adaptive_search(model, gold_table, inst.ps, inst.pt, t_q, qt)
+    if alg not in _ESTIMATORS:
+        raise ValueError(f"unknown algorithm {alg!r}")
+    # looked up at call time, so wrappers installed on this module apply
+    run = gtg_search if alg == "-GTG" else search
+    return run(model, _ESTIMATORS[alg](model), inst.ps, inst.pt, t_q, qt)
 
 
 def model_tq(model: IndoorCrowdModel) -> float:

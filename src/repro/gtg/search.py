@@ -13,7 +13,7 @@ import itertools
 from repro.core.model import IndoorCrowdModel
 from repro.core.search import FPQ, PathResult, segment_cost
 from repro.gtg.graph import build_gtg
-from repro.space.geometry import IndoorPoint
+from repro.space.geometry import IndoorPoint, euclid
 
 
 def gtg_search(
@@ -47,7 +47,9 @@ def gtg_search(
         dist_c, time_c, contact_c = cost
         arrival = t_q + time_c
 
-        def relax(nxt, via, new_cost):
+        def relax(nxt, via, seg):
+            dt, dk = segment_cost(model, estimator, via, seg, arrival)
+            new_cost = (dist_c + seg, time_c + dt, contact_c + dk)
             nk = key(new_cost)
             old = best.get(nxt)
             if old is None or nk < old:
@@ -58,27 +60,16 @@ def gtg_search(
         if node == SOURCE:
             v = ps.partition
             for d in model.partition_doors(v):
-                seg = model.point_to_door(ps, int(d))
-                dt, dk = segment_cost(model, estimator, v, seg, arrival)
-                relax(int(d), v, (dist_c + seg, time_c + dt, contact_c + dk))
+                relax(int(d), v, model.point_to_door(ps, int(d)))
             if v == pt.partition:
-                from repro.space.geometry import euclid
-
-                seg = euclid(ps.coords(), pt.coords())
-                dt, dk = segment_cost(model, estimator, v, seg, arrival)
-                relax(TARGET, v, (dist_c + seg, time_c + dt, contact_c + dk))
+                relax(TARGET, v, euclid(ps.coords(), pt.coords()))
             continue
         # towards p_t if this door belongs to p_t's host partition
         if node in pt_doors:
-            v = pt.partition
-            seg = model.point_to_door(pt, node)
-            dt, dk = segment_cost(model, estimator, v, seg, arrival)
-            relax(TARGET, v, (dist_c + seg, time_c + dt, contact_c + dk))
+            relax(TARGET, pt.partition, model.point_to_door(pt, node))
         for d_j, v, seg in adj.get(node, ()):
-            if d_j in done:
-                continue
-            dt, dk = segment_cost(model, estimator, v, seg, arrival)
-            relax(d_j, v, (dist_c + seg, time_c + dt, contact_c + dk))
+            if d_j not in done:
+                relax(d_j, v, seg)
     return None
 
 

@@ -6,7 +6,7 @@ expand from d to find a random point p_t whose indoor distance to p_s
 approaches s2t."  For each s2t value the paper generates 100 such pairs.
 
 The crowd-free indoor distance comes from ``static_distances`` (Dijkstra
-over Eq. 1 door-to-door distances).
+over Eq. 1 door-to-door distances on the search's state graph).
 """
 from __future__ import annotations
 
@@ -49,14 +49,14 @@ def generate_instances(
         dists = static_distances(m, ps)
         # candidate doors whose distance leaves room for the last leg
         cands = [
-            (state, d)
-            for state, d in dists.items()
-            if abs(d - s2t) < tol and m.stair_len[state[2]] == 0
+            (e, d)
+            for e, d in dists.items()
+            if abs(d - s2t) < tol and m.stair_len[m.e_dst[e]] == 0
         ]
         if not cands:
             continue
-        state, d_door = cands[int(rng.integers(0, len(cands)))]
-        _, door, v_t = state
+        e, d_door = cands[int(rng.integers(0, len(cands)))]
+        door, v_t = int(m.e_door[e]), int(m.e_dst[e])
         # place p_t in the entered partition so the total approaches s2t
         best_pt, best_err = None, float("inf")
         for _ in range(16):

@@ -80,17 +80,6 @@ def test_point_to_door(tiny_space, rng):
     assert m.point_to_door(p, d) == pytest.approx(euclid(p.coords(), m.door_xyz[d]))
 
 
-def test_partition_update_ticks_union_of_doors(tiny_space):
-    m = tiny_space.model
-    v = 5
-    periods = m.part_periods[v]
-    got = m.partition_update_ticks(v, 0, 40)
-    expect = sorted(
-        {x for x in range(1, 41) if any(x % int(p) == 0 for p in periods)}
-    )
-    assert got.tolist() == expect
-
-
 def test_part_periods_union_of_doors(tiny_space):
     """NT's update ticks ``UT(v)`` come from the periods of all of v's doors."""
     m = tiny_space.model

@@ -32,9 +32,9 @@ def test_static_dist_matches_metric(tiny_space):
     for inst in generate_instances(tiny_space, n=3, s2t=120.0, tol=60.0, seed=5):
         dists = static_distances(m, inst.ps)
         best = min(
-            d + euclid(m.door_xyz[door], inst.pt.coords())
-            for (tag, door, part), d in dists.items()
-            if part == inst.pt.partition
+            d + euclid(m.door_xyz[m.e_door[e]], inst.pt.coords())
+            for e, d in dists.items()
+            if m.e_dst[e] == inst.pt.partition
         )
         # recorded distance is one realizable route; it cannot beat the optimum
         assert inst.static_dist >= best - 1e-9

@@ -112,35 +112,63 @@ def test_path_is_topologically_valid(env, qt):
             assert ok, (v_from, d, v_to)
 
 
-def test_costs_accumulate_consistently(env):
-    """Re-walking the returned path reproduces the reported costs."""
-    world, m, t_q = env
-    inst = world.instances[0]
-    est = GlobalEstimator(m)
-    r = search(m, est, inst.ps, inst.pt, t_q, FPQ)
+def _assert_rewalk_matches(model, est, ps, pt, t_q, r):
+    """Re-walking ``r``'s path with the model's Eq. 1 legs reproduces its costs."""
     dist = time = contact = 0.0
     cur_node = None
     for i, d in enumerate(r.doors):
         v = r.partitions[i]
         seg = (
-            m.point_to_door(inst.ps, d)
+            model.point_to_door(ps, d)
             if cur_node is None
-            else m.d2d(v, cur_node, d)
+            else model.d2d(v, cur_node, d)
         )
-        dt, dk = segment_cost(m, est, v, seg, t_q + time)
+        dt, dk = segment_cost(model, est, v, seg, t_q + time)
         dist, time, contact = dist + seg, time + dt, contact + dk
         cur_node = d
     v = r.partitions[-1]
     seg = (
-        euclid(inst.ps.coords(), inst.pt.coords())
+        euclid(ps.coords(), pt.coords())
         if cur_node is None
-        else m.point_to_door(inst.pt, cur_node)
+        else model.point_to_door(pt, cur_node)
     )
-    dt, dk = segment_cost(m, est, v, seg, t_q + time)
+    dt, dk = segment_cost(model, est, v, seg, t_q + time)
     dist, time, contact = dist + seg, time + dt, contact + dk
     assert dist == pytest.approx(r.dist)
     assert time == pytest.approx(r.time)
     assert contact == pytest.approx(r.contact)
+
+
+def test_costs_accumulate_consistently(env):
+    """Re-walking the returned path reproduces the reported costs."""
+    world, m, t_q = env
+    est = GlobalEstimator(m)
+    for qt in (FPQ, LCPQ):
+        for inst in world.instances:
+            r = search(m, est, inst.ps, inst.pt, t_q, qt)
+            _assert_rewalk_matches(m, est, inst.ps, inst.pt, t_q, r)
+
+
+def test_costs_accumulate_from_stairway_source():
+    """A p_s inside a stairway pays the stairway's length to reach a door."""
+    from repro.sim.microsim import install_snapshot, simulate
+    from tests.conftest import make_tiny_space
+
+    bs = make_tiny_space(
+        floors=2, parts_per_floor=[16, 16], doors_per_floor=[20, 20], stairs_per_gap=[2]
+    )
+    m = bs.model
+    sim = simulate(m, bs.pop0, seed=5)
+    install_snapshot(m, sim.pop, sim.diff, tick_l=10)
+    rng = np.random.default_rng(0)
+    stair = int(np.flatnonzero(m.stair_len > 0)[0])
+    ps = IndoorPoint(stair, bs.random_point(rng, stair))
+    pt = IndoorPoint(15, bs.random_point(rng, 15))
+    est = GlobalEstimator(m)
+    for qt in (FPQ, LCPQ):
+        r = search(m, est, ps, pt, 100.0, qt)
+        assert r.doors
+        _assert_rewalk_matches(m, est, ps, pt, 100.0, r)
 
 
 def test_same_partition_direct(env, rng):
@@ -234,18 +262,31 @@ def test_static_distances_triangle_inequality(env, rng):
     dists = static_distances(m, ps)
     assert all(d >= 0 for d in dists.values())
     # relaxation fixpoint: no edge can improve any distance
-    from repro.core.search import _cache
-
-    sc = _cache(m)
-    for (tag, door, part), d in dists.items():
-        e = sc.edge_by_door_dst[(door, part)]
-        for e2, d_out, v2 in sc.out_lists[part]:
-            seg = m.d2d(part, door, d_out)
-            key = ("D", d_out, v2)
-            assert dists[key] <= d + seg + 1e-9
+    for e, d in dists.items():
+        door, part = int(m.e_door[e]), int(m.e_dst[e])
+        for e2 in m.out_edges[part]:
+            seg = m.d2d(part, door, int(m.e_door[e2]))
+            assert dists[int(e2)] <= d + seg + 1e-9
 
 
 def test_static_distances_cover_reachable_states(env, rng):
     world, m, _ = env
     ps = IndoorPoint(0, world.bs.random_point(rng, 0))
-    assert len(static_distances(m, ps)) == m.n_edges  # fully connected
+    assert sorted(static_distances(m, ps)) == list(range(m.n_edges))  # fully connected
+
+
+def test_crowd_free_search_matches_static_distances(env):
+    """With no crowd, FPQ's time is ρ(0)/s̄ × distance: both Dijkstras agree."""
+    world, m, t_q = env
+    empty = GoldEstimator(m, np.zeros_like(world.gold_pop))
+    for inst in world.instances:
+        r = search(m, empty, inst.ps, inst.pt, t_q, FPQ)
+        static = static_distances(m, inst.ps)
+        routes = [
+            d + euclid(m.door_xyz[m.e_door[e]], inst.pt.coords())
+            for e, d in static.items()
+            if m.e_dst[e] == inst.pt.partition
+        ]
+        if inst.ps.partition == inst.pt.partition:
+            routes.append(euclid(inst.ps.coords(), inst.pt.coords()))
+        assert r.dist == pytest.approx(min(routes), abs=1e-9)
