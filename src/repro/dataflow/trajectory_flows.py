@@ -6,8 +6,11 @@ consecutive locations are not topologically-connected":
 1. pair consecutive fixes per device (window function);
 2. a topologically-connected pair contributes flow 1 to the connecting
    door(s) (split uniformly if several doors connect the two partitions);
-3. a gap pair gets a set Φ of valid sub-paths; those longer than twice the
-   shortest are discarded; sub-path φ_i is taken with probability
+3. a gap pair gets a set Φ of valid sub-paths, those not longer than twice
+   the shortest: a hop-bounded relaxation finds the shortest length first,
+   and the enumeration prunes every branch whose length plus the straight
+   centroid distance to the target already exceeds twice it (exact, by the
+   triangle inequality); sub-path φ_i is taken with probability
    ``P(φ_i) = (1/len(φ_i)) / Σ_k 1/len(φ_k)``, and every door on φ_i
    receives P(φ_i);
 4. door flows are sampled per 10 s bucket; λ per directed edge is the mean
@@ -15,7 +18,8 @@ consecutive locations are not topologically-connected":
    (the positioning system only sees objects during their tracking session).
 
 Steps 1 and 4 are pure DataFrame work; step 3 runs in ``applyInPandas``
-workers over the distinct gap pairs with the (broadcast) model.
+workers, one task per core, over the distinct gap pairs with the
+(broadcast) model and a partition graph built once per model.
 """
 from __future__ import annotations
 
@@ -47,12 +51,48 @@ def consecutive_pairs(fixes: DataFrame) -> DataFrame:
     )
 
 
-def _partition_adjacency(model: IndoorCrowdModel) -> dict[tuple[int, int], list[int]]:
-    """(src, dst) -> directed-edge ids connecting them."""
-    adj: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for e in range(model.n_edges):
-        adj[(int(model.e_src[e]), int(model.e_dst[e]))].append(e)
-    return dict(adj)
+class _FlowGraph:
+    """Per-model partition graph for step 3, built once per model.
+
+    ``adj[(u, w)]`` lists the directed edges from ``u`` to ``w``;
+    ``nbrs[u]`` the partitions one edge away, ascending; ``centroid[v]`` the
+    mean of ``v``'s door coordinates; ``seg[(u, w)]`` the cheapest edge from
+    ``u`` to ``w`` and its segment length, door to both centroids.
+    """
+
+    def __init__(self, model: IndoorCrowdModel):
+        adj: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for e in range(model.n_edges):
+            adj[(int(model.e_src[e]), int(model.e_dst[e]))].append(e)
+        self.adj = dict(adj)
+        self.nbrs = [
+            sorted({int(model.e_dst[e]) for e in model.out_edges[v]})
+            for v in range(model.n_partitions)
+        ]
+        cent = []
+        for v in range(model.n_partitions):
+            doors = model.partition_doors(v)
+            cent.append(model.door_xyz[doors].mean(axis=0) if len(doors) else np.zeros(3))
+        self.centroid = [tuple(float(x) for x in c) for c in cent]
+        self.seg: dict[tuple[int, int], tuple[int, float]] = {}
+        for (u, w), edges in self.adj.items():
+            best_e, best_len = None, math.inf
+            for e in edges:
+                d = int(model.e_door[e])
+                length = float(np.linalg.norm(model.door_xyz[d] - cent[u])) + float(
+                    np.linalg.norm(model.door_xyz[d] - cent[w])
+                )
+                if length < best_len:
+                    best_e, best_len = e, length
+            self.seg[(u, w)] = (best_e, best_len)
+
+
+def _flow_graph(model: IndoorCrowdModel) -> _FlowGraph:
+    got = getattr(model, "_flow_graph", None)
+    if got is None:
+        got = _FlowGraph(model)
+        model._flow_graph = got
+    return got
 
 
 def subpath_edge_weights(
@@ -60,15 +100,24 @@ def subpath_edge_weights(
 ) -> list[tuple[int, float]]:
     """Step 3 for one gap pair: ``[(edge_id, probability-weight)]``.
 
-    Valid sub-paths are simple partition sequences from ``v0`` to ``v1``;
-    their length is the sum of segment distances through the cheapest
-    connecting doors.  Paths longer than twice the shortest are excluded;
-    the remainder get 1/length-normalized probabilities and every directed
-    edge on a path receives that path's probability.
+    Valid sub-paths are simple partition sequences from ``v0`` to ``v1`` of
+    at most ``max_extra_hops`` more hops than the fewest; their length is
+    the sum of segment distances through the cheapest connecting doors.
+    Paths longer than twice the shortest are excluded; the remainder get
+    1/length-normalized probabilities and every directed edge on a path
+    receives that path's probability.
+
+    The enumeration is pruned exactly: a hop-bounded relaxation first finds
+    the shortest length, then the DFS drops a branch at ``w`` once its
+    length plus ``|c_w − c_v1|`` exceeds twice that.  Every segment
+    ``|door − c_u| + |door − c_w|`` is at least ``|c_u − c_w|``, so the
+    centroid distance bounds the rest of any path from ``w`` from below.
     """
-    adj = _adjacency_cache(model)
-    nbrs = _neighbor_cache(model)
-    # shortest hop count via BFS (bounds the DFS depth)
+    if v0 == v1:
+        return []
+    g = _flow_graph(model)
+    nbrs, seg = g.nbrs, g.seg
+    # shortest hop count via BFS (bounds the path length in hops)
     hops = {v0: 0}
     frontier = [v0]
     while frontier and v1 not in hops:
@@ -83,19 +132,32 @@ def subpath_edge_weights(
         return []
     max_hops = hops[v1] + max_extra_hops
 
-    paths: list[tuple[list[int], float]] = []  # (edge ids, length)
+    # Shortest length over walks of at most max_hops edges, one level per
+    # hop; only improved partitions are expanded.  A cycle never shortens a
+    # walk, so this is the shortest simple path the DFS below can find.
+    cv1 = g.centroid[v1]
+    dist = {v0: 0.0}
+    level = {v0: 0.0}
+    for _ in range(max_hops):
+        best = dist.get(v1, math.inf)
+        nxt_level: dict[int, float] = {}
+        for u, du in level.items():
+            for wv in nbrs[u]:
+                d = du + seg[(u, wv)][1]
+                if (
+                    d < dist.get(wv, math.inf)
+                    and d < nxt_level.get(wv, math.inf)
+                    and d + math.dist(g.centroid[wv], cv1) <= best
+                ):
+                    nxt_level[wv] = d
+        if not nxt_level:
+            break
+        dist.update(nxt_level)
+        level = nxt_level
+    # relative slack: rounding never cuts a path the final filter keeps
+    bound = 2.0 * max(dist[v1], 1.0) * (1.0 + 1e-9)
 
-    def seg(u: int, w: int) -> tuple[int, float]:
-        """Cheapest connecting edge and a representative segment length."""
-        best_e, best_len = None, math.inf
-        for e in adj[(u, w)]:
-            d = int(model.e_door[e])
-            length = float(
-                np.linalg.norm(model.door_xyz[d] - _centroid(model, u))
-            ) + float(np.linalg.norm(model.door_xyz[d] - _centroid(model, w)))
-            if length < best_len:
-                best_e, best_len = e, length
-        return best_e, best_len
+    paths: list[tuple[list[int], float]] = []  # (edge ids, length)
 
     def dfs(u: int, edges: list[int], length: float, seen: set[int]) -> None:
         if u == v1:
@@ -104,9 +166,11 @@ def subpath_edge_weights(
         if len(edges) >= max_hops:
             return
         for wv in nbrs[u]:
-            if wv in seen or (u, wv) not in adj:
+            if wv in seen:
                 continue
-            e, slen = seg(u, wv)
+            e, slen = seg[(u, wv)]
+            if length + slen + math.dist(g.centroid[wv], cv1) > bound:
+                continue
             seen.add(wv)
             edges.append(e)
             dfs(wv, edges, length + slen, seen)
@@ -114,8 +178,6 @@ def subpath_edge_weights(
             seen.remove(wv)
 
     dfs(v0, [], 0.0, {v0})
-    if not paths:
-        return []
     shortest = min(length for _, length in paths)
     kept = [(es, length) for es, length in paths if length <= 2.0 * shortest]
     norm = sum(1.0 / length for _, length in kept)
@@ -126,33 +188,9 @@ def subpath_edge_weights(
     return out
 
 
-def _adjacency_cache(model: IndoorCrowdModel):
-    got = getattr(model, "_adj_cache", None)
-    if got is None:
-        got = _partition_adjacency(model)
-        model._adj_cache = got
-    return got
-
-
-def _neighbor_cache(model: IndoorCrowdModel):
-    got = getattr(model, "_nbr_cache", None)
-    if got is None:
-        got = [
-            sorted({int(model.e_dst[e]) for e in model.out_edges[v]})
-            for v in range(model.n_partitions)
-        ]
-        model._nbr_cache = got
-    return got
-
-
-def _centroid(model: IndoorCrowdModel, v: int) -> np.ndarray:
-    doors = model.partition_doors(v)
-    return model.door_xyz[doors].mean(axis=0)
-
-
 def resolve_pairs(model: IndoorCrowdModel, pdf: pd.DataFrame) -> pd.DataFrame:
     """Steps 2–3 for a batch of consecutive pairs → (edge, bucket, flow)."""
-    adj = _adjacency_cache(model)
+    adj = _flow_graph(model).adj
     memo: dict[tuple[int, int], list[tuple[int, float]]] = {}
     rows = []
     for v0, v1, bucket in zip(pdf["v0"], pdf["v1"], pdf["bucket"]):
@@ -187,7 +225,9 @@ def count_door_flows(
     def resolve(pdf: pd.DataFrame) -> pd.DataFrame:
         return resolve_pairs(bc_model.value, pdf)
 
-    per_pair = pairs.repartition(16, "v0").groupBy("v0").applyInPandas(
+    # one task per core: the pruned enumeration leaves no skew to hedge
+    n_tasks = spark.sparkContext.defaultParallelism
+    per_pair = pairs.repartition(n_tasks, "v0").groupBy("v0").applyInPandas(
         lambda pdf: resolve(pdf), schema="edge long, bucket long, flow double"
     )
     return per_pair.groupBy("edge", "bucket").agg(F.sum("flow").alias("flow"))
@@ -227,8 +267,11 @@ def fit_edge_lambdas(
     """λ per directed edge: mean flow per report bucket / penetration.
 
     ``penetration`` is the fraction of door crossings the positioning system
-    observes (tracked-session coverage × per-fix retention²), a deployment
-    constant of the localization system, not an oracle quantity.
+    observes, a deployment constant of the localization system, not an
+    oracle quantity.  ``build_mall_world`` passes device penetration ×
+    tracking-session coverage (``DEVICE_RATE × session / horizon``); per-fix
+    dropouts do not enter it, because the sub-path counting of step 3
+    already recovers the crossings they hide.
     """
     pdf = flows.groupBy("edge").agg(F.sum("flow").alias("total")).toPandas()
     lam = np.zeros(model.n_edges)

@@ -100,20 +100,129 @@ def test_gap_pair_probabilities_normalized(world):
     assert sum(first_hop) == pytest.approx(1.0)
 
 
+def _reference_subpath_weights(m, v0, v1, max_extra_hops=3):
+    """Brute force: every simple path up to shortest+3 hops, then the 2× cut."""
+    adj = {}
+    for e in range(m.n_edges):
+        adj.setdefault((int(m.e_src[e]), int(m.e_dst[e])), []).append(e)
+    nbrs = [
+        sorted({int(m.e_dst[e]) for e in m.out_edges[v]}) for v in range(m.n_partitions)
+    ]
+    hops, frontier = {v0: 0}, [v0]
+    while frontier and v1 not in hops:
+        nxt = []
+        for u in frontier:
+            for w in nbrs[u]:
+                if w not in hops:
+                    hops[w] = hops[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    if v1 not in hops:
+        return []
+    max_hops = hops[v1] + max_extra_hops
+
+    def centroid(v):
+        return m.door_xyz[m.partition_doors(v)].mean(axis=0)
+
+    def seg(u, w):
+        best_e, best_len = None, np.inf
+        for e in adj[(u, w)]:
+            d = int(m.e_door[e])
+            length = float(np.linalg.norm(m.door_xyz[d] - centroid(u))) + float(
+                np.linalg.norm(m.door_xyz[d] - centroid(w))
+            )
+            if length < best_len:
+                best_e, best_len = e, length
+        return best_e, best_len
+
+    paths = []
+
+    def dfs(u, edges, length, seen):
+        if u == v1:
+            paths.append((edges.copy(), max(length, 1.0)))
+            return
+        if len(edges) >= max_hops:
+            return
+        for w in nbrs[u]:
+            if w in seen:
+                continue
+            e, slen = seg(u, w)
+            seen.add(w)
+            edges.append(e)
+            dfs(w, edges, length + slen, seen)
+            edges.pop()
+            seen.remove(w)
+
+    dfs(v0, [], 0.0, {v0})
+    shortest = min(length for _, length in paths)
+    kept = [(es, length) for es, length in paths if length <= 2.0 * shortest]
+    norm = sum(1.0 / length for _, length in kept)
+    return [(e, (1.0 / length) / norm) for es, length in kept for e in es]
+
+
+def _gap_pairs(m, fixes):
+    """Distinct consecutive-fix pairs whose partitions share no edge."""
+    df = fixes.sort_values(["mac", "t"])
+    v0 = df.groupby("mac")["partition"].shift(1)
+    adj = {(int(s), int(d)) for s, d in zip(m.e_src, m.e_dst)}
+    return sorted(
+        {
+            (int(a), int(b))
+            for a, b in zip(v0, df["partition"])
+            if not pd.isna(a) and a != b and (int(a), int(b)) not in adj
+        }
+    )
+
+
 def test_subpath_excludes_long_paths(world):
-    bs, _ = world
-    m = bs.model
-    # all returned edges belong to paths ≤ 2× shortest by construction;
-    # sanity: no edge is ridiculously far from the straight line
-    weights = subpath_edge_weights(m, 0, 5)
-    assert all(p >= 0 for _, p in weights)
+    """The pruned enumeration keeps exactly the brute force's sub-paths
+    (those not longer than twice the shortest), with bit-identical weights,
+    on every gap pair of the tiny world and of the benchmark's mall."""
+    from repro.space.mall import mall_space
+
+    bs, tw = world
+    pairs = _gap_pairs(bs.model, tw.fixes)
+    assert pairs
+    for v0, v1 in pairs:
+        assert subpath_edge_weights(bs.model, v0, v1) == _reference_subpath_weights(
+            bs.model, v0, v1
+        )
+    mall = mall_space(ti=10, horizon_ticks=900, seed=7)
+    mall_tw = simulate_trajectories(
+        mall, n_objects=200, fix_interval=10, session_ticks=20, seed=13
+    )
+    pairs = _gap_pairs(mall.model, mall_tw.fixes)
+    assert len(pairs) == 91
+    for v0, v1 in pairs:
+        assert subpath_edge_weights(mall.model, v0, v1) == _reference_subpath_weights(
+            mall.model, v0, v1
+        )
 
 
 def test_unreachable_pair_empty():
-    bs = make_tiny_space()
-    m = bs.model
-    out = subpath_edge_weights(m, 0, 0)  # same partition: no path needed
-    assert out == [] or all(p >= 0 for _, p in out)
+    """No sub-path, no weights: the same partition, and a target that the
+    source cannot leave towards (partition 0 has no out-edges)."""
+    import copy
+
+    m = make_tiny_space().model
+    assert subpath_edge_weights(m, 0, 0) == []
+    target = 15
+    assert subpath_edge_weights(m, 0, target) != []  # builds m's flow graph
+    m2 = copy.deepcopy(m)  # carries m's flow graph along
+    keep = m2.e_src != 0
+    m2.e_src, m2.e_dst, m2.e_door, m2.e_lam = (
+        m2.e_src[keep],
+        m2.e_dst[keep],
+        m2.e_door[keep],
+        m2.e_lam[keep],
+    )
+    m2.__post_init__()
+    # a stale flow graph still routes out of partition 0: the check below
+    # would catch one that outlived the edit
+    assert subpath_edge_weights(m2, 0, target) != []
+    del m2._flow_graph
+    assert subpath_edge_weights(m2, 0, target) == []
+    assert subpath_edge_weights(m2, 0, 0) == []
 
 
 def test_fit_edge_lambdas(spark, world):
