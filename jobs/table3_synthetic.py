@@ -24,20 +24,8 @@ sys.path.insert(0, SRC)
 
 from repro.dataflow.batch import aggregate_table, run_batch
 from repro.experiments.params import FLOORS, OBJECTS, S2T, TI, Settings
-from repro.experiments.tables import PAPER_TABLE3, render_table
+from repro.experiments.tables import PAPER_TABLE3, render_table, rows_to_dict
 from repro.experiments.world import build_synthetic_world
-
-
-def rows_to_dict(agg) -> dict:
-    return {
-        (r["qt"], r["alg"]): {
-            "running_time_ms": r["running_time_ms"],
-            "memory_kb": r["memory_kb"],
-            "hit_rate_pct": r["hit_rate_pct"],
-            "relative_error": r["relative_error"],
-        }
-        for r in agg.collect()
-    }
 
 
 def main() -> None:

@@ -23,7 +23,7 @@ sys.path.insert(0, SRC)
 
 from repro.dataflow.batch import aggregate_table, run_batch
 from repro.experiments.params import Settings
-from repro.experiments.tables import PAPER_TABLE4, render_table
+from repro.experiments.tables import PAPER_TABLE4, render_table, rows_to_dict
 from repro.experiments.world import build_mall_world
 
 
@@ -40,18 +40,9 @@ def main() -> None:
     settings = Settings(n_instances=args.instances)
     world = build_mall_world(settings, spark)
     agg = aggregate_table(run_batch(spark, world))
-    measured = {
-        (r["qt"], r["alg"]): {
-            "running_time_ms": r["running_time_ms"],
-            "memory_kb": r["memory_kb"],
-            "hit_rate_pct": r["hit_rate_pct"],
-            "relative_error": r["relative_error"],
-        }
-        for r in agg.collect()
-    }
     print(
         render_table(
-            measured, PAPER_TABLE4, "Table 4 — Real Data (simulated mall)"
+            rows_to_dict(agg), PAPER_TABLE4, "Table 4 — Real Data (simulated mall)"
         )
     )
     spark.stop()

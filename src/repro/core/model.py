@@ -52,6 +52,7 @@ class IndoorCrowdModel:
     # --- derived adjacency (built in __post_init__) ----------------------
     out_edges: list = field(default_factory=list, repr=False)
     in_edges: list = field(default_factory=list, repr=False)
+    part_doors: list = field(default_factory=list, repr=False)
     part_periods: list = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
@@ -64,12 +65,12 @@ class IndoorCrowdModel:
         order = np.argsort(self.e_dst, kind="stable")
         for v, grp in _group_indices(self.e_dst, order):
             self.in_edges[v] = grp
-        self.part_periods = []
-        for v in range(p):
-            doors = np.union1d(
-                self.e_door[self.out_edges[v]], self.e_door[self.in_edges[v]]
-            )
-            self.part_periods.append(np.unique(self.door_period[doors]))
+        # D_v: doors one can leave or enter v through (P2D⊐(v) ∪ P2D⊏(v))
+        self.part_doors = [
+            np.union1d(self.e_door[self.out_edges[v]], self.e_door[self.in_edges[v]])
+            for v in range(p)
+        ]
+        self.part_periods = [np.unique(self.door_period[d]) for d in self.part_doors]
 
     # -- sizes -----------------------------------------------------------
     @property
@@ -85,20 +86,9 @@ class IndoorCrowdModel:
         return len(self.e_src)
 
     # -- topology helpers -------------------------------------------------
-    def leaveable_doors(self, v: int) -> np.ndarray:
-        """Doors of ``P2D⊐(v)``: doors through which one can leave ``v``."""
-        return np.unique(self.e_door[self.out_edges[v]])
-
-    def enterable_doors(self, v: int) -> np.ndarray:
-        """Doors of ``P2D⊏(v)``: doors through which one can enter ``v``."""
-        return np.unique(self.e_door[self.in_edges[v]])
-
     def partition_doors(self, v: int) -> np.ndarray:
-        return np.union1d(self.leaveable_doors(v), self.enterable_doors(v))
-
-    def upstream(self, v: int) -> np.ndarray:
-        """Partitions with an edge into ``v`` (sources of its inflows)."""
-        return np.unique(self.e_src[self.in_edges[v]])
+        """``v``'s doors, ascending: built once in ``__post_init__``."""
+        return self.part_doors[v]
 
     # -- geometry (Eq. 1) --------------------------------------------------
     def d2d(self, v: int, d_i: int, d_j: int) -> float:

@@ -29,10 +29,6 @@ class Timeline:
         x = int(t_seconds // self.ti)
         return min(max(x, 0), self.horizon - 1)
 
-    def seconds(self, tick: int) -> float:
-        """Start time (s) of unit interval ``tick``."""
-        return tick * self.ti
-
 
 def reporting_mask(periods: np.ndarray, tick: int) -> np.ndarray:
     """Boolean mask of doors reporting at ``tick``.

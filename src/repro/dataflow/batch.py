@@ -10,17 +10,19 @@ test suite.
 """
 from __future__ import annotations
 
+from dataclasses import asdict, fields
+
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.experiments.harness import ALGORITHMS, gold_result, measure_query
+from repro.experiments.harness import ALGORITHMS, QueryMeasure, measure_tasks
 from repro.experiments.world import World
 
-_SCHEMA = (
-    "alg string, qt string, instance long, wall_ms double, mem_kb double, "
-    "hit boolean, rel_err double"
-)
+# One row per QueryMeasure; Spark types for its field annotations.
+_SPARK_TYPES = {"str": "string", "int": "long", "float": "double", "bool": "boolean"}
+_COLUMNS = [f.name for f in fields(QueryMeasure)]
+_SCHEMA = ", ".join(f"{f.name} {_SPARK_TYPES[f.type]}" for f in fields(QueryMeasure))
 
 
 def run_batch(
@@ -28,10 +30,12 @@ def run_batch(
     world: World,
     qts: tuple[str, ...] = ("FPQ", "LCPQ"),
     algs: tuple[str, ...] = ALGORITHMS,
-    *,
-    parallelism: int | None = None,
 ) -> DataFrame:
-    """All per-query measurements as a DataFrame (one row per run)."""
+    """All per-query measurements as a DataFrame (one row per run).
+
+    Tasks are bucketed by instance over ``defaultParallelism`` groups, so
+    each gold path is searched once, in the group that owns its instance.
+    """
     bc = spark.sparkContext.broadcast(world)
     tasks = pd.DataFrame(
         [
@@ -42,43 +46,22 @@ def run_batch(
         ],
         columns=["instance", "qt", "alg"],
     )
-    n_groups = parallelism or spark.sparkContext.defaultParallelism
+    n_groups = spark.sparkContext.defaultParallelism
     tasks["bucket"] = tasks["instance"] % n_groups
 
     def run_group(pdf: pd.DataFrame) -> pd.DataFrame:
         w: World = bc.value
-        model, gold_pop = w.model, w.gold_pop
-        golds: dict[tuple[int, str], object] = {}
-        rows = []
-        for inst_id, qt, alg in zip(pdf["instance"], pdf["qt"], pdf["alg"]):
-            inst = w.instances[int(inst_id)]
-            gk = (int(inst_id), qt)
-            if gk not in golds:
-                golds[gk] = gold_result(model, gold_pop, inst, qt)
-            m = measure_query(
-                model, gold_pop, inst, int(inst_id), qt, alg, gold=golds[gk]
-            )
-            rows.append(
-                (m.alg, m.qt, m.instance, m.wall_ms, m.mem_kb, m.hit, m.rel_err)
-            )
-        return pd.DataFrame(
-            rows,
-            columns=[
-                "alg",
-                "qt",
-                "instance",
-                "wall_ms",
-                "mem_kb",
-                "hit",
-                "rel_err",
-            ],
-        )
+        group = [
+            (int(i), qt, alg) for i, qt, alg in zip(pdf["instance"], pdf["qt"], pdf["alg"])
+        ]
+        measures = measure_tasks(w.model, w.gold_pop, w.instances, group)
+        return pd.DataFrame(map(asdict, measures), columns=_COLUMNS)
 
     sdf = spark.createDataFrame(tasks)
     return (
         sdf.repartition(n_groups, "bucket")
         .groupBy("bucket")
-        .applyInPandas(lambda pdf: run_group(pdf), schema=_SCHEMA)
+        .applyInPandas(run_group, schema=_SCHEMA)
     )
 
 

@@ -34,6 +34,9 @@ from pyspark.sql.window import Window
 
 from repro.core.model import IndoorCrowdModel
 
+# A valid sub-path has at most this many more hops than the fewest.
+MAX_EXTRA_HOPS = 3
+
 
 def consecutive_pairs(fixes: DataFrame) -> DataFrame:
     """(mac, t0, v0, t1, v1) for each pair of consecutive fixes per device."""
@@ -96,12 +99,12 @@ def _flow_graph(model: IndoorCrowdModel) -> _FlowGraph:
 
 
 def subpath_edge_weights(
-    model: IndoorCrowdModel, v0: int, v1: int, *, max_extra_hops: int = 3
+    model: IndoorCrowdModel, v0: int, v1: int
 ) -> list[tuple[int, float]]:
     """Step 3 for one gap pair: ``[(edge_id, probability-weight)]``.
 
     Valid sub-paths are simple partition sequences from ``v0`` to ``v1`` of
-    at most ``max_extra_hops`` more hops than the fewest; their length is
+    at most ``MAX_EXTRA_HOPS`` more hops than the fewest; their length is
     the sum of segment distances through the cheapest connecting doors.
     Paths longer than twice the shortest are excluded; the remainder get
     1/length-normalized probabilities and every directed edge on a path
@@ -130,7 +133,7 @@ def subpath_edge_weights(
         frontier = nxt
     if v1 not in hops:
         return []
-    max_hops = hops[v1] + max_extra_hops
+    max_hops = hops[v1] + MAX_EXTRA_HOPS
 
     # Shortest length over walks of at most max_hops edges, one level per
     # hop; only improved partitions are expanded.  A cycle never shortens a

@@ -30,7 +30,7 @@ from repro.core.estimators import (
     PPEstimator,
 )
 from repro.core.model import IndoorCrowdModel
-from repro.core.search import FPQ, LCPQ, PathResult, search
+from repro.core.search import PathResult, search
 from repro.gtg.search import gtg_search
 from repro.space.queries import QueryInstance
 
@@ -96,10 +96,9 @@ def measure_query(
     instance_id: int,
     qt: str,
     alg: str,
-    gold: PathResult | None = None,
+    gold: PathResult | None,
 ) -> QueryMeasure:
-    if gold is None:
-        gold = gold_result(model, gold_table, inst, qt)
+    """Time, memory, hit and γ of one query against its gold path."""
     t0 = time.perf_counter()
     result = run_query(model, gold_table, inst, qt, alg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -124,26 +123,22 @@ def measure_query(
     )
 
 
-def evaluate(
+def measure_tasks(
     model: IndoorCrowdModel,
     gold_table: np.ndarray,
     instances: list[QueryInstance],
-    qt: str,
-    algs: tuple[str, ...] = ALGORITHMS,
-) -> dict[str, dict[str, float]]:
-    """Aggregate Table 3/4 rows: per-algorithm means over the instances."""
-    rows: dict[str, dict[str, float]] = {}
-    golds = [gold_result(model, gold_table, inst, qt) for inst in instances]
-    for alg in algs:
-        ms = [
-            measure_query(model, gold_table, inst, i, qt, alg, gold=golds[i])
-            for i, inst in enumerate(instances)
-        ]
-        ok = [x for x in ms if not np.isnan(x.rel_err)]
-        rows[alg] = {
-            "running_time_ms": float(np.mean([x.wall_ms for x in ms])),
-            "memory_kb": float(np.mean([x.mem_kb for x in ms])),
-            "hit_rate_pct": 100.0 * float(np.mean([x.hit for x in ms])),
-            "relative_error": float(np.mean([x.rel_err for x in ok])) if ok else float("nan"),
-        }
-    return rows
+    tasks: list[tuple[int, str, str]],
+) -> list[QueryMeasure]:
+    """One ``QueryMeasure`` per ``(instance id, qt, alg)`` task, in task order.
+
+    The gold path of each distinct ``(instance, qt)`` is searched once, before
+    any variant runs, and every variant of that pair is scored against it.
+    """
+    golds = {
+        (i, qt): gold_result(model, gold_table, instances[i], qt)
+        for i, qt in dict.fromkeys((i, qt) for i, qt, _ in tasks)
+    }
+    return [
+        measure_query(model, gold_table, instances[i], i, qt, alg, golds[(i, qt)])
+        for i, qt, alg in tasks
+    ]

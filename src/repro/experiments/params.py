@@ -19,7 +19,6 @@ class Settings:
     s2t: float = 1300.0         # source-target distance (m)
     n_instances: int = 100      # query instances per configuration
     t_q: float = 300.0          # query time (s past counter alignment)
-    history_window: int = 30    # ticks of flow history kept for Strategy NT
     space_seed: int = 7
     sim_seed: int = 23
     query_seed: int = 17

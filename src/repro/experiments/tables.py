@@ -49,6 +49,14 @@ _METRICS = (
 )
 
 
+def rows_to_dict(agg) -> dict[tuple[str, str], dict[str, float]]:
+    """``aggregate_table`` output as ``{(qt, alg): {metric: value}}``."""
+    return {
+        (r["qt"], r["alg"]): {key: r[key] for key, _, _ in _METRICS}
+        for r in agg.collect()
+    }
+
+
 def render_table(
     measured: dict[tuple[str, str], dict[str, float]],
     paper: dict[tuple[str, str], dict[str, float]],

@@ -41,13 +41,7 @@ def build_synthetic_world(settings: Settings = Settings()) -> World:
         seed=settings.space_seed,
     )
     sim = simulate(bs.model, bs.pop0, seed=settings.sim_seed)
-    install_snapshot(
-        bs.model,
-        sim.pop,
-        sim.diff,
-        settings.tick_l,
-        window=settings.history_window,
-    )
+    install_snapshot(bs.model, sim.pop, sim.diff, settings.tick_l)
     instances = generate_instances(
         bs, n=settings.n_instances, s2t=settings.s2t, seed=settings.query_seed
     )
@@ -116,9 +110,7 @@ def build_mall_world(
     # (the paper's real-data exact searches err at the 1e-15 scale).
     pop0 = np.round(tw.occupancy[0] / DEVICE_RATE).astype(np.int64)
     sim = simulate(bs.model, pop0, seed=settings.sim_seed, flows="dithered")
-    install_snapshot(
-        bs.model, sim.pop, sim.diff, settings.tick_l, window=settings.history_window
-    )
+    install_snapshot(bs.model, sim.pop, sim.diff, settings.tick_l)
     instances = generate_instances(
         bs, n=settings.n_instances, s2t=settings.s2t, seed=settings.query_seed
     )

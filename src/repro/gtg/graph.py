@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-import numpy as np
-
 from repro.core.model import IndoorCrowdModel
 
 
@@ -25,16 +23,14 @@ def build_gtg(model: IndoorCrowdModel) -> dict[int, list[tuple[int, int, float]]
     For each partition ``v`` with door set ``D_v``, every ordered pair
     ``(d_i ≠ d_j)`` becomes an edge passing ``v`` — ``Σ_v |D_v|·(|D_v|−1)``
     edges versus the crowd model's ``Σ_v |D_v|`` directed door crossings.
+    The door sets ``D_v`` are model topology, shared by every search; the
+    pairs are what each GTG query builds.
     """
-    part_doors: dict[int, np.ndarray] = {
-        v: model.partition_doors(v) for v in range(model.n_partitions)
-    }
     adj: dict[int, list[tuple[int, int, float]]] = defaultdict(list)
-    for v, doors in part_doors.items():
+    for v, doors in enumerate(model.part_doors):
         for d_i in doors:
             for d_j in doors:
                 if d_i == d_j:
                     continue
                 adj[int(d_i)].append((int(d_j), v, model.d2d(v, int(d_i), int(d_j))))
     return dict(adj)
-

@@ -11,7 +11,9 @@ analogue of the paper's proportional scaling in Figure 4).
 
 The estimators (``repro.core.estimators``) evolve *expectations* (λ means)
 from the same snapshot; the gap between expectation and draw is exactly the
-estimation error the paper measures.
+estimation error the paper measures.  Eq. 5's Poisson door-flow draw lives
+in ``simulate`` itself: the ``"mixed"`` mode draws ``Poisson(ε·λ)`` per
+reporting edge from the run's one RNG stream.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.flows import draw_flows
 from repro.core.model import IndoorCrowdModel
 from repro.core.timeline import reporting_mask
 
@@ -79,12 +80,8 @@ def simulate(
       ε = ``BURST_FRAC``: the expectation dynamics plus a small stochastic
       component, so exact searches stay near-perfect but occasionally lose a
       path to noise — the paper's 98%/83% hit-rate regime.
-    * ``"rounded"`` — stochastic rounding ``⌊λ⌋ + Bernoulli(λ − ⌊λ⌋)``:
-      mean λ, variance ≤ 1/4 per report (noise grows ~√t).
-    * ``"poisson"`` — full ``Poisson(λ)`` draws (Eq. 5 verbatim); the
-      noisiest world, for robustness tests.
     """
-    if flows not in ("mixed", "dithered", "rounded", "poisson"):
+    if flows not in ("mixed", "dithered"):
         raise ValueError(f"unknown flow mode {flows!r}")
     H, P, M = model.timeline.horizon, model.n_partitions, model.n_edges
     rng = np.random.default_rng(seed)
@@ -102,21 +99,13 @@ def simulate(
         act = reporting_mask(edge_periods, x)
         desired = np.zeros(M, dtype=np.int64)
         lam = model.e_lam[act]
-        if flows == "poisson":
-            desired[act] = draw_flows(rng, lam)
-        elif flows == "rounded":
-            base = np.floor(lam)
-            desired[act] = (base + (rng.random(len(lam)) < (lam - base))).astype(
-                np.int64
-            )
-        else:  # dithered or mixed
-            det_lam = lam * (1.0 - BURST_FRAC) if flows == "mixed" else lam
-            cum[act] += det_lam
-            total = np.floor(cum[act] + phase[act]).astype(np.int64)
-            desired[act] = total - emitted[act]
-            emitted[act] = total
-            if flows == "mixed":
-                desired[act] += draw_flows(rng, lam * BURST_FRAC)
+        det_lam = lam * (1.0 - BURST_FRAC) if flows == "mixed" else lam
+        cum[act] += det_lam
+        total = np.floor(cum[act] + phase[act]).astype(np.int64)
+        desired[act] = total - emitted[act]
+        emitted[act] = total
+        if flows == "mixed":
+            desired[act] += rng.poisson(lam * BURST_FRAC)
         outs = np.bincount(model.e_src, weights=desired, minlength=P)
         for v in np.flatnonzero(outs > cur):
             idx = model.out_edges[v]

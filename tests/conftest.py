@@ -11,11 +11,38 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.harness import ALGORITHMS, measure_tasks
 from repro.experiments.params import Settings
 from repro.experiments.world import World, build_synthetic_world
 from repro.sim.microsim import install_snapshot, simulate
 from repro.space.floorplan import BuiltSpace, build_space
 from repro.space.queries import generate_instances
+
+
+def table_rows(
+    world: World, qts: tuple[str, ...], algs: tuple[str, ...] = ALGORITHMS
+) -> dict[str, dict[str, dict[str, float]]]:
+    """Table 3/4 rows computed serially: ``rows[qt][alg][metric]``.
+
+    Per-(qt, alg) means of ``measure_tasks`` over every instance, with NaN
+    relative errors (no result) left out — the reference that
+    ``aggregate_table`` must reproduce.
+    """
+    n = len(world.instances)
+    tasks = [(i, qt, alg) for qt in qts for alg in algs for i in range(n)]
+    groups: dict[tuple[str, str], list] = {}
+    for m in measure_tasks(world.model, world.gold_pop, world.instances, tasks):
+        groups.setdefault((m.qt, m.alg), []).append(m)
+    rows: dict[str, dict[str, dict[str, float]]] = {qt: {} for qt in qts}
+    for (qt, alg), ms in groups.items():
+        errs = [m.rel_err for m in ms if not np.isnan(m.rel_err)]
+        rows[qt][alg] = {
+            "running_time_ms": float(np.mean([m.wall_ms for m in ms])),
+            "memory_kb": float(np.mean([m.mem_kb for m in ms])),
+            "hit_rate_pct": 100.0 * float(np.mean([m.hit for m in ms])),
+            "relative_error": float(np.mean(errs)) if errs else float("nan"),
+        }
+    return rows
 
 
 def make_tiny_space(**overrides) -> BuiltSpace:

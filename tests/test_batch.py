@@ -5,8 +5,9 @@ from pyspark.sql import functions as F
 
 from repro.core.search import FPQ
 from repro.dataflow.batch import aggregate_table, run_batch
-from repro.experiments.harness import ALGORITHMS, evaluate
+from repro.experiments.tables import rows_to_dict
 from repro.oracle import assert_equivalent
+from tests.conftest import table_rows
 
 
 @pytest.fixture(scope="module")
@@ -41,16 +42,8 @@ def test_measure_columns(measures):
 
 def test_aggregate_matches_driver_evaluate(measures, tiny_world):
     """Distributed accuracy metrics equal the single-process harness."""
-    agg = {
-        (r["qt"], r["alg"]): r for r in aggregate_table(measures).collect()
-    }
-    ref = evaluate(
-        tiny_world.model,
-        tiny_world.gold_pop,
-        tiny_world.instances,
-        FPQ,
-        algs=("", "-NT"),
-    )
+    agg = rows_to_dict(aggregate_table(measures))
+    ref = table_rows(tiny_world, (FPQ,), algs=("", "-NT"))[FPQ]
     for alg in ("", "-NT"):
         # hit rate and relative error are deterministic; times are not
         assert agg[("FPQ", alg)]["hit_rate_pct"] == pytest.approx(

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import repro.experiments.harness as harness
+from repro.core.estimators import GoldEstimator
 from repro.core.search import FPQ, LCPQ
 from repro.experiments.harness import (
     ALGORITHMS,
-    evaluate,
     gold_result,
     measure_query,
+    measure_tasks,
     model_tq,
     run_query,
 )
@@ -35,7 +37,8 @@ def test_unknown_algorithm_rejected(tiny_world):
 
 def test_measure_query_fields(tiny_world):
     inst = tiny_world.instances[0]
-    m = measure_query(tiny_world.model, tiny_world.gold_pop, inst, 0, FPQ, "")
+    gold = gold_result(tiny_world.model, tiny_world.gold_pop, inst, FPQ)
+    m = measure_query(tiny_world.model, tiny_world.gold_pop, inst, 0, FPQ, "", gold)
     assert m.wall_ms > 0
     assert m.mem_kb > 0
     assert isinstance(m.hit, bool)
@@ -53,25 +56,39 @@ def test_gold_is_its_own_reference(tiny_world):
     assert abs(gc - gold.cost(FPQ)) / gc == 0.0
 
 
-@pytest.mark.parametrize("qt", [FPQ, LCPQ])
-def test_evaluate_structure(tiny_world, qt):
-    rows = evaluate(
-        tiny_world.model,
-        tiny_world.gold_pop,
-        tiny_world.instances[:2],
-        qt,
-        algs=("", "-NT"),
-    )
-    assert set(rows) == {"", "-NT"}
-    for r in rows.values():
-        assert set(r) == {
-            "running_time_ms",
-            "memory_kb",
-            "hit_rate_pct",
-            "relative_error",
-        }
-        assert 0 <= r["hit_rate_pct"] <= 100
-        assert r["running_time_ms"] > 0
+def test_measure_tasks_one_gold_per_instance_qt(tiny_world, monkeypatch):
+    """One gold search per (instance, qt); rows in task order, each scored
+    exactly as ``measure_query`` scores it against the same gold path."""
+    w = tiny_world
+    tasks = [
+        (1, LCPQ, "-NT"),
+        (0, FPQ, ""),
+        (1, LCPQ, ""),
+        (0, FPQ, "-GTG"),
+        (0, LCPQ, "-G"),
+        (1, LCPQ, "-A"),
+        (1, FPQ, "-PP"),
+    ]
+    gold_calls = []
+    real_search = harness.search
+
+    def counting_search(model, est, ps, pt, t_q, qt):
+        if isinstance(est, GoldEstimator):
+            inst = next(i for i, x in enumerate(w.instances) if x.ps is ps)
+            gold_calls.append((inst, qt))
+        return real_search(model, est, ps, pt, t_q, qt)
+
+    monkeypatch.setattr(harness, "search", counting_search)
+    ms = measure_tasks(w.model, w.gold_pop, w.instances, tasks)
+    monkeypatch.undo()
+
+    assert sorted(gold_calls) == sorted({(i, qt) for i, qt, _ in tasks})
+    assert [(m.instance, m.qt, m.alg) for m in ms] == tasks
+    for m, (i, qt, alg) in zip(ms, tasks):
+        gold = gold_result(w.model, w.gold_pop, w.instances[i], qt)
+        ref = measure_query(w.model, w.gold_pop, w.instances[i], i, qt, alg, gold)
+        assert m.hit == ref.hit
+        assert m.rel_err == ref.rel_err or (math.isnan(m.rel_err) and math.isnan(ref.rel_err))
 
 
 def test_exact_pair_identical_results(tiny_world):

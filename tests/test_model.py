@@ -27,21 +27,25 @@ def test_every_edge_indexed_exactly_once(tiny_space):
     assert sorted(in_all) == list(range(m.n_edges))
 
 
-def test_leaveable_enterable_doors(tiny_space):
-    m = tiny_space.model
-    for v in range(m.n_partitions):
-        leave = set(m.leaveable_doors(v))
-        enter = set(m.enterable_doors(v))
-        # all doors bidirectional in this space
-        assert leave == enter
-        assert set(m.partition_doors(v)) == leave | enter
+def test_partition_doors_union_on_one_way_model():
+    """``D_v`` is the union of the doors ``v`` can be left and entered by,
+    also where the two differ: partition 0's out-edges removed."""
+    from tests.conftest import make_tiny_space
 
-
-def test_upstream_matches_in_edges(tiny_space):
-    m = tiny_space.model
+    m = make_tiny_space().model
+    keep = m.e_src != 0
+    m.e_src, m.e_dst, m.e_door, m.e_lam = (
+        m.e_src[keep],
+        m.e_dst[keep],
+        m.e_door[keep],
+        m.e_lam[keep],
+    )
+    m.__post_init__()
+    assert len(m.out_edges[0]) == 0 and len(m.in_edges[0]) > 0
     for v in range(m.n_partitions):
-        ups = set(m.upstream(v))
-        assert ups == {int(m.e_src[e]) for e in m.in_edges[v]}
+        leave = {int(d) for d in m.e_door[m.out_edges[v]]}
+        enter = {int(d) for d in m.e_door[m.in_edges[v]]}
+        assert m.partition_doors(v).tolist() == sorted(leave | enter)
 
 
 def test_d2d_zero_same_door(tiny_space):

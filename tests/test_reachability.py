@@ -1,9 +1,14 @@
-"""Every module under ``src/repro`` lies on a job's import path.
+"""Every module under ``src/repro`` lies on a job's import path, and every
+public function in it is used outside the tests.
 
 Starting from ``jobs/*.py``, follow the ``import`` statements of each reached
 module (function-local imports included) and require that every module of
 the package is reached.  ``repro.oracle`` is the one exception: it is the
 DuckDB test oracle, used only by the tests.
+
+The second check is by name: each public top-level function and public
+method must be named (as a variable, an attribute or an imported name) in
+some non-test file under ``src/``, ``jobs/`` or ``perfbench/``.
 """
 from __future__ import annotations
 
@@ -13,6 +18,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 NOT_ON_JOB_PATH = {"repro.oracle"}
+# Used only by the tests, on purpose: the DuckDB oracle, and the pandas
+# reference the Spark flow count is checked against.
+TEST_ONLY = {
+    "repro.oracle.assert_equivalent",
+    "repro.dataflow.trajectory_flows.count_door_flows_pandas",
+}
 
 
 def _module_file(name: str) -> Path | None:
@@ -70,3 +81,46 @@ def test_every_module_is_on_a_job_path():
     unreached = all_modules() - reached - NOT_ON_JOB_PATH
     assert not unreached, f"modules no job imports: {sorted(unreached)}"
     assert NOT_ON_JOB_PATH.isdisjoint(reached), "drop the stale exception"
+
+
+def public_functions() -> set[str]:
+    """``module.name`` / ``module.Class.name`` of every public def in ``repro``."""
+    out = set()
+    for f in (SRC / "repro").rglob("*.py"):
+        mod = ".".join(f.relative_to(SRC).with_suffix("").parts)
+        for node in ast.parse(f.read_text(), str(f)).body:
+            if isinstance(node, ast.FunctionDef):
+                out.add(f"{mod}.{node.name}")
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                out.update(
+                    f"{mod}.{node.name}.{m.name}"
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                )
+    return {q for q in out if not q.rsplit(".", 1)[1].startswith("_")}
+
+
+def names_used_off_tests() -> set[str]:
+    """Every name used, read as an attribute, or imported outside the tests."""
+    used = set()
+    for top in ("src", "jobs", "perfbench"):
+        for f in (ROOT / top).rglob("*.py"):
+            if f.name.startswith("test_") or f.name == "conftest.py":
+                continue
+            for node in ast.walk(ast.parse(f.read_text(), str(f))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(a.name for a in node.names)
+    return used
+
+
+def test_every_public_function_is_used_off_tests():
+    funcs = public_functions()
+    used = names_used_off_tests()
+    unused = {q for q in funcs if q.rsplit(".", 1)[1] not in used} - TEST_ONLY
+    assert not unused, f"public functions only tests use: {sorted(unused)}"
+    stale = {q for q in TEST_ONLY if q not in funcs or q.rsplit(".", 1)[1] in used}
+    assert not stale, f"drop the stale exceptions: {sorted(stale)}"

@@ -21,13 +21,16 @@ def test_tick_clamps_negative():
 @pytest.mark.parametrize("tick", [0, 1, 7, 59])
 def test_seconds_roundtrip(tick):
     tl = Timeline(ti=10.0, horizon=60)
-    assert tl.tick(tl.seconds(tick)) == tick
+    assert tl.tick(tick * tl.ti) == tick
 
 
 @pytest.mark.parametrize("ti", [5.0, 10.0, 15.0, 20.0])
 def test_table2_intervals(ti):
+    """Tick ``k`` is the interval ``[k·TI, (k+1)·TI)``."""
     tl = Timeline(ti=ti, horizon=100)
-    assert tl.seconds(1) == ti
+    for k in (0, 1, 42):
+        assert tl.tick(k * ti) == k
+        assert tl.tick((k + 1) * ti - 1e-6) == k
 
 
 @pytest.mark.parametrize("period", [1, 2, 3, 4, 5])
