@@ -15,6 +15,7 @@ from repro.experiments.harness import (
     model_tq,
     run_query,
 )
+from tests.conftest import table_rows
 
 
 def test_model_tq_alignment(tiny_world):
@@ -54,6 +55,23 @@ def test_gold_is_its_own_reference(tiny_world):
     # here we check γ's definition directly
     gc = gold.cost(FPQ)
     assert abs(gc - gold.cost(FPQ)) / gc == 0.0
+
+
+@pytest.mark.parametrize("qt", [FPQ, LCPQ])
+def test_evaluate_structure(tiny_world, qt):
+    """Table 3/4 rows averaged from ``measure_tasks``: the four metrics per
+    algorithm, hit rate a percentage, running time positive."""
+    rows = table_rows(tiny_world, (qt,), algs=("", "-NT"))[qt]
+    assert set(rows) == {"", "-NT"}
+    for r in rows.values():
+        assert set(r) == {
+            "running_time_ms",
+            "memory_kb",
+            "hit_rate_pct",
+            "relative_error",
+        }
+        assert 0 <= r["hit_rate_pct"] <= 100
+        assert r["running_time_ms"] > 0
 
 
 def test_measure_tasks_one_gold_per_instance_qt(tiny_world, monkeypatch):
