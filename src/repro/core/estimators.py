@@ -21,6 +21,11 @@ populations ``(P_tl, t_l)`` — and differ in how rigidly they evolve Eq. 6
 * ``GoldEstimator`` — ground-truth lookup into a simulated population table;
   used to produce the paper's gold-standard paths and costs.
 
+Which edges report at tick ``x`` (Eq. 6's ``out(x)``/``in(x)``) and how many
+update ticks a partition has (Eq. 7) are read off the model's reporting
+schedule: ``model.reports(x)``, its rows ``model.edge_reports`` and
+``model.update_count``.
+
 A fresh estimator is created per query (the paper's per-query measurement
 does the same); all derived state is owned by the instance, so
 ``tracemalloc`` around one query observes exactly the derivation footprint.
@@ -30,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.model import IndoorCrowdModel
-from repro.core.timeline import reporting_mask
 
 
 def rectified_step(
@@ -44,8 +48,7 @@ def rectified_step(
     """
     m = model
     out = np.bincount(m.e_src, weights=flow, minlength=m.n_partitions)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(out > prev, prev / np.where(out > 0, out, 1.0), 1.0)
+    scale = np.divide(prev, out, out=np.ones_like(prev), where=out > prev)
     flow = flow * scale[m.e_src]
     out = np.minimum(out, prev)
     inf = np.bincount(m.e_dst, weights=flow, minlength=m.n_partitions)
@@ -73,13 +76,10 @@ class GlobalEstimator:
         self.model = model
         self.tick0 = model.tick_l
         self.pops: list[np.ndarray] = [model.pop_l.copy()]
-        self._edge_periods = model.door_period[model.e_door]
 
     def _step(self, x: int) -> None:
         m = self.model
-        flow = np.where(
-            reporting_mask(self._edge_periods, x), m.e_lam, 0.0
-        )
+        flow = np.where(m.reports(x), m.e_lam, 0.0)
         self.pops.append(rectified_step(m, self.pops[-1], flow))
 
     def ensure(self, tick: int) -> None:
@@ -121,17 +121,8 @@ class LocalEstimator:
         P = model.n_partitions
         self.valid: dict[int, np.ndarray] = {self.tick0: np.ones(P, dtype=bool)}
         self.pops: dict[int, np.ndarray] = {self.tick0: model.pop_l.copy()}
-        self._edge_periods = model.door_period[model.e_door]
-        self._rep_cache: dict[int, np.ndarray] = {}
         self._misses = 0
         self._dense: GlobalEstimator | None = None
-
-    def _rep(self, x: int) -> np.ndarray:
-        got = self._rep_cache.get(x)
-        if got is None:
-            got = reporting_mask(self._edge_periods, x)
-            self._rep_cache[x] = got
-        return got
 
     def _derive(self, v: int, tick: int) -> None:
         m = self.model
@@ -157,7 +148,7 @@ class LocalEstimator:
                     mask &= ~have
             needed[x] = mask
             # upstream closure: sources of reporting in-edges of the mask
-            rep = self._rep(x)
+            rep = m.reports(x)
             feeds = rep & mask[m.e_dst]
             prev = mask.copy()
             prev[m.e_src[feeds]] = True
@@ -167,7 +158,7 @@ class LocalEstimator:
         for x in sorted(needed):
             todo = needed[x]
             prev_pop = self.pops[x - 1]
-            rep = self._rep(x)
+            rep = m.reports(x)
             # edges relevant at x: outflows of every partition whose pop or
             # rectification scale is needed (todo ∪ upstream(todo))
             src_needed = todo.copy()
@@ -212,44 +203,15 @@ class PPEstimator:
         self.model = model
         self.tick0 = model.tick_l
         self._series: dict[int, np.ndarray] = {}  # v -> pops for ticks tick0+1..
-        # per-period λ totals per partition: out_lam[p][v], in_lam[p][v]
-        m = model
-        periods = m.door_period[m.e_door]
-        self._period_vals = [int(p) for p in np.unique(periods)]
-        self._out_lam = {}
-        self._in_lam = {}
-        for p in self._period_vals:
-            sel = periods == p
-            self._out_lam[p] = np.bincount(
-                m.e_src[sel], weights=m.e_lam[sel], minlength=m.n_partitions
-            )
-            self._in_lam[p] = np.bincount(
-                m.e_dst[sel], weights=m.e_lam[sel], minlength=m.n_partitions
-            )
-        self._masks: dict[int, np.ndarray] = {}  # p -> float mask over ticks
-        self._mask_len = 0
-
-    def _grow_masks(self, n: int) -> None:
-        """Reporting masks (as floats) for ticks tick0+1 … tick0+n."""
-        if n <= self._mask_len:
-            return
-        ticks = np.arange(self.tick0 + 1, self.tick0 + n + 1)
-        for p in self._period_vals:
-            self._masks[p] = ((ticks % p) == 0).astype(float)
-        self._mask_len = n
 
     def _derive(self, v: int, tick: int) -> np.ndarray:
         m = self.model
-        n = tick - self.tick0
-        self._grow_masks(n)
-        out_exp = np.zeros(n)
-        in_exp = np.zeros(n)
-        for p in self._period_vals:
-            ol, il = self._out_lam[p][v], self._in_lam[p][v]
-            if ol:
-                out_exp += ol * self._masks[p][:n]
-            if il:
-                in_exp += il * self._masks[p][:n]
+        # expected out/in flow per schedule row, then laid over the ticks
+        outs, ins = m.out_edges[v], m.in_edges[v]
+        out_row = m.edge_reports[:, outs] @ m.e_lam[outs]
+        in_row = m.edge_reports[:, ins] @ m.e_lam[ins]
+        rows = np.arange(self.tick0 + 1, tick + 1) % m.hyperperiod
+        out_exp, in_exp = out_row[rows], in_row[rows]
         p0 = float(m.pop_l[v])
         traj = p0 + np.cumsum(in_exp - out_exp)
         prev = np.concatenate(([p0], traj[:-1]))
@@ -294,15 +256,13 @@ class NTEstimator:
         self.eta = eta
         self.pp = PPEstimator(model)
         self._stats: dict[int, tuple[float, float]] = {}
-        self._lcm_terms: dict[int, list[tuple[int, int]]] = {}
-        self._count_cache: dict[tuple[int, int], int] = {}
 
     def _compute_all_stats(self) -> None:
         """Vectorized (μ, σ) of historical net flows, for every partition.
 
-        Partitions are grouped by their distinct door-period sets (≤ 31
-        combinations of {1..5}); within a group the update-tick mask is
-        shared and the column-wise mean/std is one NumPy call.
+        A partition's update ticks in the history window are its schedule
+        column at ``hist_ticks mod L``; partitions sharing that column share
+        one masked column-wise mean/std.
         """
         m = self.model
         P = m.n_partitions
@@ -310,13 +270,12 @@ class NTEstimator:
             for v in range(P):
                 self._stats[v] = (0.0, float("inf"))
             return
-        groups: dict[tuple, list[int]] = {}
+        masks = m.part_updates[m.hist_ticks % m.hyperperiod]
+        groups: dict[bytes, list[int]] = {}
         for v in range(P):
-            groups.setdefault(tuple(int(p) for p in m.part_periods[v]), []).append(v)
-        for periods, vs in groups.items():
-            mask = np.zeros(len(m.hist_ticks), dtype=bool)
-            for p in periods:
-                mask |= (m.hist_ticks % p) == 0
+            groups.setdefault(masks[:, v].tobytes(), []).append(v)
+        for vs in groups.values():
+            mask = masks[:, vs[0]]
             if not mask.any():
                 for v in vs:
                     self._stats[v] = (0.0, float("inf"))
@@ -333,40 +292,11 @@ class NTEstimator:
             self._compute_all_stats()
         return self._stats[v]
 
-    def _count_updates(self, v: int, tick: int) -> int:
-        """``|{t ∈ UT(v) | t_l < t ≤ t^a}|`` in O(1) via inclusion-exclusion.
-
-        ``F(t) = Σ_{∅≠S⊆periods} (−1)^{|S|+1} ⌊t / lcm(S)⌋`` counts ticks in
-        ``[1, t]`` at which any of the partition's doors reports; the terms
-        are cached per partition (≤ 5 distinct periods ⇒ ≤ 31 terms).
-        """
-        cached = self._count_cache.get((v, tick))
-        if cached is not None:
-            return cached
-        terms = self._lcm_terms.get(v)
-        if terms is None:
-            import itertools as it
-            import math
-
-            periods = [int(p) for p in self.model.part_periods[v]]
-            terms = []
-            for r in range(1, len(periods) + 1):
-                for sub in it.combinations(periods, r):
-                    terms.append((math.lcm(*sub), 1 if r % 2 == 1 else -1))
-            self._lcm_terms[v] = terms
-
-        def f(t: int) -> int:
-            return sum(sign * (t // l) for l, sign in terms)
-
-        out = f(tick) - f(self.tick0)
-        self._count_cache[(v, tick)] = out
-        return out
-
     def population(self, v: int, tick: int) -> float:
         if tick <= self.tick0:
             return float(self.model.pop_l[v])
         mu, sigma = self.stats(v)
         if sigma < self.eta:
-            k = self._count_updates(v, tick)
+            k = self.model.update_count(v, self.tick0, tick)
             return float(self.model.pop_l[v]) + mu * k
         return self.pp.population(v, tick)

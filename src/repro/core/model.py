@@ -14,14 +14,21 @@ indices — compact and picklable (for Spark broadcast).  ``M_d2d`` is not
 materialized as per-vertex matrices: partitions are convex so it is the
 door-coordinate Euclidean distance, computed on demand (stairways carry an
 explicit walking length instead).
+
+The door-reporting schedule (Section 6.1.1) is tabulated here once: doors
+report at aligned periods ``n ∈ {1..5}`` ticks, so the pattern repeats every
+``L = lcm(periods)`` ticks (at most 60).  Eq. 6's reporting edges at tick
+``x`` are row ``x mod L`` of ``edge_reports``; Eq. 7's update counts are read
+from per-partition prefix sums over one hyperperiod.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.timeline import Timeline
+from repro.core.timeline import Timeline, reporting_mask
 from repro.space.geometry import IndoorPoint, euclid
 
 
@@ -53,9 +60,18 @@ class IndoorCrowdModel:
     out_edges: list = field(default_factory=list, repr=False)
     in_edges: list = field(default_factory=list, repr=False)
     part_doors: list = field(default_factory=list, repr=False)
-    part_periods: list = field(default_factory=list, repr=False)
+    # --- reporting schedule over one hyperperiod (built in __post_init__) --
+    hyperperiod: int = field(default=1, repr=False)  # L = lcm(door periods)
+    edge_reports: np.ndarray | None = field(default=None, repr=False)   # bool[L,M]
+    part_updates: np.ndarray | None = field(default=None, repr=False)   # bool[L,P]
+    update_prefix: np.ndarray | None = field(default=None, repr=False)  # int[L+1,P]
+    # --- objects other modules derive from the topology, keyed by module --
+    derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        if not np.all((self.door_period >= 1) & (self.door_period <= 5)):
+            raise ValueError("door report periods must lie in 1..5 ticks")
+        self.derived = {}
         p = self.n_partitions
         self.out_edges = [np.empty(0, dtype=np.int64) for _ in range(p)]
         self.in_edges = [np.empty(0, dtype=np.int64) for _ in range(p)]
@@ -70,7 +86,17 @@ class IndoorCrowdModel:
             np.union1d(self.e_door[self.out_edges[v]], self.e_door[self.in_edges[v]])
             for v in range(p)
         ]
-        self.part_periods = [np.unique(self.door_period[d]) for d in self.part_doors]
+        # UT(v): the ticks at which some door of v reports, i.e. some edge
+        # leaving or entering v does; update_prefix[r] counts them over 1..r.
+        L = self.hyperperiod = math.lcm(*(int(n) for n in np.unique(self.door_period)))
+        edge_periods = self.door_period[self.e_door]
+        self.edge_reports = np.array([reporting_mask(edge_periods, r) for r in range(L)])
+        rows, cols = np.nonzero(self.edge_reports)
+        self.part_updates = np.zeros((L, p), dtype=bool)
+        self.part_updates[rows, self.e_src[cols]] = True
+        self.part_updates[rows, self.e_dst[cols]] = True
+        self.update_prefix = np.zeros((L + 1, p), dtype=np.int64)
+        self.update_prefix[1:] = np.cumsum(self.part_updates[np.arange(1, L + 1) % L], axis=0)
 
     # -- sizes -----------------------------------------------------------
     @property
@@ -89,6 +115,17 @@ class IndoorCrowdModel:
     def partition_doors(self, v: int) -> np.ndarray:
         """``v``'s doors, ascending: built once in ``__post_init__``."""
         return self.part_doors[v]
+
+    # -- reporting schedule (Eq. 6, Eq. 7) -----------------------------------
+    def reports(self, x: int) -> np.ndarray:
+        """Mask of the edges whose door reports at tick ``x``."""
+        return self.edge_reports[x % self.hyperperiod]
+
+    def update_count(self, v: int, lo: int, hi: int) -> int:
+        """``|UT(v) ∩ (lo, hi]|``: ticks in ``(lo, hi]`` some door of ``v`` reports at."""
+        L, pre = self.hyperperiod, self.update_prefix
+        (q_hi, r_hi), (q_lo, r_lo) = divmod(hi, L), divmod(lo, L)
+        return int((q_hi - q_lo) * pre[L, v] + pre[r_hi, v] - pre[r_lo, v])
 
     # -- geometry (Eq. 1) --------------------------------------------------
     def d2d(self, v: int, d_i: int, d_j: int) -> float:

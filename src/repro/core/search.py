@@ -103,10 +103,9 @@ class _SearchCache:
 
 
 def _cache(model: IndoorCrowdModel) -> _SearchCache:
-    got = getattr(model, "_search_cache", None)
+    got = model.derived.get(__name__)
     if got is None:
-        got = _SearchCache(model)
-        model._search_cache = got
+        got = model.derived[__name__] = _SearchCache(model)
     return got
 
 

@@ -35,6 +35,7 @@ def reporting_mask(periods: np.ndarray, tick: int) -> np.ndarray:
 
     ``periods`` holds each door's report period in ticks.  Doors are aligned
     at tick 0, so door ``d`` reports exactly at multiples of ``periods[d]``.
-    Tick 0 is the aligned initial report of every door.
+    Tick 0 is the aligned initial report of every door.  The model
+    tabulates this rule once over one hyperperiod (``IndoorCrowdModel.reports``).
     """
     return (tick % periods) == 0

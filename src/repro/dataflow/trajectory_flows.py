@@ -91,10 +91,9 @@ class _FlowGraph:
 
 
 def _flow_graph(model: IndoorCrowdModel) -> _FlowGraph:
-    got = getattr(model, "_flow_graph", None)
+    got = model.derived.get(__name__)
     if got is None:
-        got = _FlowGraph(model)
-        model._flow_graph = got
+        got = model.derived[__name__] = _FlowGraph(model)
     return got
 
 

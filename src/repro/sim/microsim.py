@@ -13,7 +13,8 @@ The estimators (``repro.core.estimators``) evolve *expectations* (λ means)
 from the same snapshot; the gap between expectation and draw is exactly the
 estimation error the paper measures.  Eq. 5's Poisson door-flow draw lives
 in ``simulate`` itself: the ``"mixed"`` mode draws ``Poisson(ε·λ)`` per
-reporting edge from the run's one RNG stream.
+reporting edge from the run's one RNG stream.  The reporting edges of each
+tick are the model's schedule row (``model.reports``), as for the estimators.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.model import IndoorCrowdModel
-from repro.core.timeline import reporting_mask
 
 # Share ε of each report's λ drawn as Poisson noise in the "mixed" mode.
 BURST_FRAC = 0.1
@@ -90,13 +90,12 @@ def simulate(
     pop[0] = np.asarray(pop0, dtype=np.int64)
     flow_sum = np.zeros(M)
     report_count = np.zeros(M, dtype=np.int64)
-    edge_periods = model.door_period[model.e_door]
     cur = pop[0].copy()
     phase = rng.random(M)          # dither phase per edge
     cum = np.zeros(M)              # integrated rate per edge
     emitted = np.zeros(M, dtype=np.int64)
     for x in range(1, H):
-        act = reporting_mask(edge_periods, x)
+        act = model.reports(x)
         desired = np.zeros(M, dtype=np.int64)
         lam = model.e_lam[act]
         det_lam = lam * (1.0 - BURST_FRAC) if flows == "mixed" else lam

@@ -183,9 +183,8 @@ def test_nt_no_history_never_skips():
 def test_nt_count_updates_matches_bruteforce(world, tick):
     bs, _ = world
     m = bs.model
-    nt = NTEstimator(m)
     for v in range(m.n_partitions):
-        assert nt._count_updates(v, tick) == _update_count(m, v, m.tick_l, tick)
+        assert m.update_count(v, m.tick_l, tick) == _update_count(m, v, m.tick_l, tick)
 
 
 def test_gold_estimator_lookup(world):

@@ -1,7 +1,10 @@
 """Tests for the indoor crowd model structure (Section 3.1)."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.timeline import reporting_mask
 from repro.space.geometry import IndoorPoint, euclid
 
 
@@ -85,11 +88,40 @@ def test_point_to_door(tiny_space, rng):
 
 
 def test_part_periods_union_of_doors(tiny_space):
-    """NT's update ticks ``UT(v)`` come from the periods of all of v's doors."""
+    """NT's update ticks ``UT(v)`` are the ticks some door of v reports at."""
     m = tiny_space.model
+    L = m.hyperperiod
     for v in range(m.n_partitions):
-        expect = sorted({int(p) for p in m.door_period[m.partition_doors(v)]})
-        assert m.part_periods[v].tolist() == expect
+        periods = m.door_period[m.partition_doors(v)]
+        for t in range(1, 2 * L + 1):
+            expect = bool(reporting_mask(periods, t).any())
+            assert m.part_updates[t % L, v] == expect
+            assert m.update_count(v, t - 1, t) == expect
+
+
+@pytest.mark.parametrize("world", ["tiny", "mall"])
+def test_schedule_rows_match_reporting_mask(tiny_space, world):
+    """Row ``x mod L`` of the schedule is ``reporting_mask`` at tick ``x``."""
+    if world == "tiny":
+        m = tiny_space.model
+    else:
+        from repro.space.mall import mall_space
+
+        m = mall_space(horizon_ticks=120).model
+        assert m.hyperperiod == 1
+    rng = np.random.default_rng(4)
+    for x in rng.integers(0, m.timeline.horizon, 200):
+        expect = reporting_mask(m.door_period[m.e_door], int(x))
+        assert np.array_equal(m.reports(int(x)), expect)
+
+
+@pytest.mark.parametrize("period", [0, 6])
+def test_door_period_outside_paper_range_rejected(tiny_space, period):
+    m = tiny_space.model
+    bad = m.door_period.copy()
+    bad[0] = period
+    with pytest.raises(ValueError, match="1..5"):
+        dataclasses.replace(m, door_period=bad)
 
 
 def test_snapshot_install(tiny_world):

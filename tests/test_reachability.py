@@ -124,3 +124,28 @@ def test_every_public_function_is_used_off_tests():
     assert not unused, f"public functions only tests use: {sorted(unused)}"
     stale = {q for q in TEST_ONLY if q not in funcs or q.rsplit(".", 1)[1] in used}
     assert not stale, f"drop the stale exceptions: {sorted(stale)}"
+
+
+# The door-reporting schedule is tabulated once, on the model; the door
+# periods it is built from are generated in ``repro.space``.
+SCHEDULE_NAMES = {"reporting_mask", "door_period"}
+SCHEDULE_OWNERS = {SRC / "repro" / "core" / "model.py", SRC / "repro" / "space"}
+
+
+def test_schedule_is_computed_only_on_the_model():
+    offenders = set()
+    for top in ("src", "jobs", "perfbench"):
+        for f in (ROOT / top).rglob("*.py"):
+            if f.name.startswith("test_") or f.name == "conftest.py":
+                continue
+            if any(f == o or o in f.parents for o in SCHEDULE_OWNERS):
+                continue
+            for node in ast.walk(ast.parse(f.read_text(), str(f))):
+                name = (
+                    node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None
+                )
+                if name in SCHEDULE_NAMES:
+                    offenders.add(f"{f.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not offenders, f"door schedule computed off the model: {sorted(offenders)}"

@@ -247,8 +247,6 @@ def test_unreachable_returns_none():
         m2.e_lam[keep],
     )
     m2.__post_init__()
-    if hasattr(m2, "_search_cache"):
-        del m2._search_cache
     m2.set_snapshot(0, np.zeros(m2.n_partitions))
     rng = np.random.default_rng(0)
     ps = IndoorPoint(0, bs.random_point(rng, 0))
