@@ -7,11 +7,12 @@ populations ``(P_tl, t_l)`` — and differ in how rigidly they evolve Eq. 6
 (``P[x] = P[x-1] − out(x) + in(x)`` with outflow rectification) forward:
 
 * ``GlobalEstimator`` — Algorithm 1: all partitions, tick by tick, with
-  globally consistent rectification (Figure 4) — ``rectified_step``, which
-  ``LocalEstimator`` applies to its masked flows as well.
-* ``LocalEstimator`` — Algorithm 2: only the queried partition and its
+  globally consistent rectification (Figure 4) — ``eq6_step``, which
+  ``LocalEstimator`` shares.
+* ``LocalEstimator`` — Algorithm 2: only the ticks the queried partition's
   *upstream cone* (the partitions whose rectified outflows feed it within
-  the derivation window); per-tick work is proportional to the cone's edges.
+  the derivation window) needs, each one ``eq6_step``; the cone decides
+  which ticks are derived and which values are kept, not the per-tick work.
 * ``PPEstimator`` — Strategy PP: rectify only the queried partition's own
   outflows; inflows are taken at raw λ (Algorithm 2 with line 20 replaced by
   the flow function's expectation).
@@ -21,10 +22,11 @@ populations ``(P_tl, t_l)`` — and differ in how rigidly they evolve Eq. 6
 * ``GoldEstimator`` — ground-truth lookup into a simulated population table;
   used to produce the paper's gold-standard paths and costs.
 
-Which edges report at tick ``x`` (Eq. 6's ``out(x)``/``in(x)``) and how many
-update ticks a partition has (Eq. 7) are read off the model's reporting
-schedule: ``model.reports(x)``, its rows ``model.edge_reports`` and
-``model.update_count``.
+Eq. 6's inputs at tick ``x`` — the reporting edges and their summed
+``out(x)``/``in(x)`` — are tabulated on the model per schedule residue
+(``model.flow_table``), so a tick costs the work of its reporting edges.
+PP reads its per-partition rows of the same schedule (``model.pp_out``/
+``pp_in``); NT counts update ticks with ``model.update_count`` (Eq. 7).
 
 A fresh estimator is created per query (the paper's per-query measurement
 does the same); all derived state is owned by the instance, so
@@ -37,22 +39,22 @@ import numpy as np
 from repro.core.model import IndoorCrowdModel
 
 
-def rectified_step(
-    model: IndoorCrowdModel, prev: np.ndarray, flow: np.ndarray
-) -> np.ndarray:
+def eq6_step(model: IndoorCrowdModel, prev: np.ndarray, x: int) -> np.ndarray:
     """One tick of Eq. 6: ``P[x] = P[x-1] − out(x) + in(x)``.
 
-    ``flow`` is each directed edge's expected flow at tick ``x`` (0 where
-    its door does not report).  Figure 4 rectification scales a partition's
-    outflows so they never exceed its population ``prev``.
+    Only the edges reporting at ``x`` carry flow.  When no partition ships
+    more than it holds, ``out``/``in`` are the model's tabulated sums for
+    ``x``; otherwise Figure 4 rectification scales each partition's outflows
+    to its population ``prev`` and the inflows are summed again over the
+    reporting edges.
     """
-    m = model
-    out = np.bincount(m.e_src, weights=flow, minlength=m.n_partitions)
-    scale = np.divide(prev, out, out=np.ones_like(prev), where=out > prev)
-    flow = flow * scale[m.e_src]
-    out = np.minimum(out, prev)
-    inf = np.bincount(m.e_dst, weights=flow, minlength=m.n_partitions)
-    return prev - out + inf
+    src, dst, lam, out, inf = model.flow_table(x)
+    over = out > prev
+    if not over.any():
+        return prev - out + inf
+    scale = np.divide(prev, out, out=np.ones_like(prev), where=over)
+    inf = np.bincount(dst, weights=lam * scale[src], minlength=len(prev))
+    return prev - np.minimum(out, prev) + inf
 
 
 class GoldEstimator:
@@ -77,14 +79,10 @@ class GlobalEstimator:
         self.tick0 = model.tick_l
         self.pops: list[np.ndarray] = [model.pop_l.copy()]
 
-    def _step(self, x: int) -> None:
-        m = self.model
-        flow = np.where(m.reports(x), m.e_lam, 0.0)
-        self.pops.append(rectified_step(m, self.pops[-1], flow))
-
     def ensure(self, tick: int) -> None:
         while self.tick0 + len(self.pops) - 1 < tick:
-            self._step(self.tick0 + len(self.pops))
+            x = self.tick0 + len(self.pops)
+            self.pops.append(eq6_step(self.model, self.pops[-1], x))
 
     def population(self, v: int, tick: int) -> float:
         if tick <= self.tick0:
@@ -96,12 +94,14 @@ class GlobalEstimator:
 class LocalEstimator:
     """Algorithm 2: derive only the queried partition's upstream cone.
 
-    State per derived tick: a validity mask and a population vector defined
-    on the cone.  A request for ``(v, t)`` walks the cone backwards
-    (``needed[x-1] = needed[x] ∪ upstream(needed[x])``) until it reaches
-    already-valid ticks, then derives forwards; per-tick work touches only
-    edges incident to the cone — Algorithm 2's memoized recursion
-    (``F[t_c]`` caching) in vectorized form.
+    State per derived tick: a validity mask and a population vector valid
+    on the mask.  A request for ``(v, t)`` walks the cone backwards
+    (``needed[x-1] = needed[x] ∪ upstream(needed[x])``, upstream read off
+    the tick's reporting edges) until it reaches already-valid ticks, then
+    derives forwards, keeping ``eq6_step``'s values on ``needed[x]`` only —
+    Algorithm 2's memoized recursion (``F[t_c]`` caching) in vectorized
+    form.  Each derived tick costs one full-width step, as in Algorithm 1:
+    the cone saves ticks, not work within a tick.
 
     Under search load the queried partitions blanket the graph and the union
     of cones converges to the full vertex set; once the request count shows
@@ -148,23 +148,16 @@ class LocalEstimator:
                     mask &= ~have
             needed[x] = mask
             # upstream closure: sources of reporting in-edges of the mask
-            rep = m.reports(x)
-            feeds = rep & mask[m.e_dst]
-            prev = mask.copy()
-            prev[m.e_src[feeds]] = True
-            mask = prev
+            src, dst = m.flow_table(x)[:2]
+            mask = mask.copy()
+            mask[src[mask[dst]]] = True
             x -= 1
-        # forward derivation over the cone
+        # forward derivation: the Eq. 6 step is exact on ``todo`` because
+        # ``pops[x - 1]`` is valid on ``todo`` and on the sources feeding it
         for x in sorted(needed):
             todo = needed[x]
             prev_pop = self.pops[x - 1]
-            rep = m.reports(x)
-            # edges relevant at x: outflows of every partition whose pop or
-            # rectification scale is needed (todo ∪ upstream(todo))
-            src_needed = todo.copy()
-            src_needed[m.e_src[rep & todo[m.e_dst]]] = True
-            act = rep & src_needed[m.e_src]
-            new = rectified_step(m, prev_pop, np.where(act, m.e_lam, 0.0))
+            new = eq6_step(m, prev_pop, x)
             if x in self.pops:
                 self.pops[x] = np.where(todo, new, self.pops[x])
                 self.valid[x] = self.valid[x] | todo
@@ -192,9 +185,11 @@ class LocalEstimator:
 class PPEstimator:
     """Strategy PP: per-partition derivation with raw-λ inflows.
 
-    The common case — the partition's population never dips below its
-    expected outflow — is fully vectorized (a cumulative sum); the rare
-    rectifying case falls back to a sequential scan.
+    The partition's expected out/in flows per schedule residue are the
+    model's ``pp_out[v]``/``pp_in[v]``.  The common case — the partition's
+    population never dips below its expected outflow — is fully vectorized
+    (a cumulative sum); the rare rectifying case falls back to a sequential
+    scan.
     """
 
     def __init__(self, model: IndoorCrowdModel):
@@ -203,27 +198,28 @@ class PPEstimator:
         self.model = model
         self.tick0 = model.tick_l
         self._series: dict[int, np.ndarray] = {}  # v -> pops for ticks tick0+1..
+        self._rows = np.empty(0, dtype=np.int64)  # schedule rows of ticks tick0+1..
 
     def _derive(self, v: int, tick: int) -> np.ndarray:
         m = self.model
-        # expected out/in flow per schedule row, then laid over the ticks
-        outs, ins = m.out_edges[v], m.in_edges[v]
-        out_row = m.edge_reports[:, outs] @ m.e_lam[outs]
-        in_row = m.edge_reports[:, ins] @ m.e_lam[ins]
-        rows = np.arange(self.tick0 + 1, tick + 1) % m.hyperperiod
-        out_exp, in_exp = out_row[rows], in_row[rows]
+        n = tick - self.tick0
+        if len(self._rows) < n:
+            self._rows = np.arange(self.tick0 + 1, tick + 1) % m.hyperperiod
+        # expected out/in flow per schedule row, laid over the ticks
+        rows = self._rows[:n]
+        out_exp, in_exp = m.pp_out[v].take(rows), m.pp_in[v].take(rows)
         p0 = float(m.pop_l[v])
-        traj = p0 + np.cumsum(in_exp - out_exp)
-        prev = np.concatenate(([p0], traj[:-1]))
-        bad = prev < out_exp
-        if not bad.any():
+        traj = (in_exp - out_exp).cumsum()
+        traj += p0
+        bad = traj[:-1] < out_exp[1:]
+        if not (p0 < out_exp[0] or bad.any()):
             return traj
         # Rectifying scan (outflow capped at the current population) — only
         # from the first tick where the unrectified trajectory would ship
         # more than it holds; everything before is exact.
-        i0 = int(np.argmax(bad))
+        i0 = 0 if p0 < out_exp[0] else 1 + int(np.argmax(bad))
+        cur = p0 if i0 == 0 else float(traj[i0 - 1])
         pops = traj
-        cur = float(prev[i0])
         oe = out_exp[i0:].tolist()
         ie = in_exp[i0:].tolist()
         for j, (o, i_) in enumerate(zip(oe, ie)):
@@ -255,48 +251,34 @@ class NTEstimator:
         self.tick0 = model.tick_l
         self.eta = eta
         self.pp = PPEstimator(model)
-        self._stats: dict[int, tuple[float, float]] = {}
+        self._pop = model.pop_l.tolist()
+        self._stats = self._compute_all_stats()
 
-    def _compute_all_stats(self) -> None:
-        """Vectorized (μ, σ) of historical net flows, for every partition.
+    def _compute_all_stats(self) -> list[tuple[float, float]]:
+        """(μ, σ) of historical net flows, for every partition at once.
 
-        A partition's update ticks in the history window are its schedule
-        column at ``hist_ticks mod L``; partitions sharing that column share
-        one masked column-wise mean/std.
+        Partition ``v``'s update ticks in the history window are its schedule
+        column at ``hist_ticks mod L``: μ/σ are masked column reductions of
+        ``hist_diff``.  A partition with no update tick there is never stable.
         """
         m = self.model
-        P = m.n_partitions
         if m.hist_diff is None or m.hist_ticks is None or len(m.hist_ticks) == 0:
-            for v in range(P):
-                self._stats[v] = (0.0, float("inf"))
-            return
+            return [(0.0, float("inf"))] * m.n_partitions
         masks = m.part_updates[m.hist_ticks % m.hyperperiod]
-        groups: dict[bytes, list[int]] = {}
-        for v in range(P):
-            groups.setdefault(masks[:, v].tobytes(), []).append(v)
-        for vs in groups.values():
-            mask = masks[:, vs[0]]
-            if not mask.any():
-                for v in vs:
-                    self._stats[v] = (0.0, float("inf"))
-                continue
-            sub = m.hist_diff[np.ix_(mask, vs)]
-            mus = sub.mean(axis=0)
-            sigmas = sub.std(axis=0)
-            for i, v in enumerate(vs):
-                self._stats[v] = (float(mus[i]), float(sigmas[i]))
+        seen = masks.any(axis=0)
+        masks |= ~seen  # reduce unseen columns over every row, then discard them
+        mu = np.where(seen, m.hist_diff.mean(axis=0, where=masks), 0.0)
+        sigma = np.where(seen, m.hist_diff.std(axis=0, where=masks), np.inf)
+        return list(zip(mu.tolist(), sigma.tolist()))
 
     def stats(self, v: int) -> tuple[float, float]:
         """(μ, σ) of the partition's historical net flow at its update ticks."""
-        if not self._stats:
-            self._compute_all_stats()
         return self._stats[v]
 
     def population(self, v: int, tick: int) -> float:
         if tick <= self.tick0:
-            return float(self.model.pop_l[v])
-        mu, sigma = self.stats(v)
+            return self._pop[v]
+        mu, sigma = self._stats[v]
         if sigma < self.eta:
-            k = self.model.update_count(v, self.tick0, tick)
-            return float(self.model.pop_l[v]) + mu * k
+            return self._pop[v] + mu * self.model.update_count(v, self.tick0, tick)
         return self.pp.population(v, tick)

@@ -19,7 +19,9 @@ The door-reporting schedule (Section 6.1.1) is tabulated here once: doors
 report at aligned periods ``n ∈ {1..5}`` ticks, so the pattern repeats every
 ``L = lcm(periods)`` ticks (at most 60).  Eq. 6's reporting edges at tick
 ``x`` are row ``x mod L`` of ``edge_reports``; Eq. 7's update counts are read
-from per-partition prefix sums over one hyperperiod.
+from per-partition prefix sums over one hyperperiod.  Eq. 6's λ-dependent
+inputs are tabulated per residue too (``flow_table``): they are rebuilt
+whenever λ is installed, by ``__post_init__`` or ``set_lambdas``.
 """
 from __future__ import annotations
 
@@ -64,7 +66,11 @@ class IndoorCrowdModel:
     hyperperiod: int = field(default=1, repr=False)  # L = lcm(door periods)
     edge_reports: np.ndarray | None = field(default=None, repr=False)   # bool[L,M]
     part_updates: np.ndarray | None = field(default=None, repr=False)   # bool[L,P]
-    update_prefix: np.ndarray | None = field(default=None, repr=False)  # int[L+1,P]
+    update_prefix: list = field(default_factory=list, repr=False)  # [P][L+1] ints
+    # --- Eq. 6 inputs per residue, from λ (built in set_lambdas) ---------
+    flow_tables: list = field(default_factory=list, repr=False)  # [L] (src, dst, λ, out, in)
+    pp_out: np.ndarray | None = field(default=None, repr=False)   # float[P,L]
+    pp_in: np.ndarray | None = field(default=None, repr=False)    # float[P,L]
     # --- objects other modules derive from the topology, keyed by module --
     derived: dict = field(default_factory=dict, repr=False)
 
@@ -87,7 +93,8 @@ class IndoorCrowdModel:
             for v in range(p)
         ]
         # UT(v): the ticks at which some door of v reports, i.e. some edge
-        # leaving or entering v does; update_prefix[r] counts them over 1..r.
+        # leaving or entering v does; update_prefix[v][r] counts them over
+        # 1..r (Python ints: Eq. 7 reads two of them per NT lookup).
         L = self.hyperperiod = math.lcm(*(int(n) for n in np.unique(self.door_period)))
         edge_periods = self.door_period[self.e_door]
         self.edge_reports = np.array([reporting_mask(edge_periods, r) for r in range(L)])
@@ -95,8 +102,36 @@ class IndoorCrowdModel:
         self.part_updates = np.zeros((L, p), dtype=bool)
         self.part_updates[rows, self.e_src[cols]] = True
         self.part_updates[rows, self.e_dst[cols]] = True
-        self.update_prefix = np.zeros((L + 1, p), dtype=np.int64)
-        self.update_prefix[1:] = np.cumsum(self.part_updates[np.arange(1, L + 1) % L], axis=0)
+        prefix = np.zeros((L + 1, p), dtype=np.int64)
+        prefix[1:] = np.cumsum(self.part_updates[np.arange(1, L + 1) % L], axis=0)
+        self.update_prefix = prefix.T.tolist()
+        self.set_lambdas(self.e_lam)
+
+    def set_lambdas(self, e_lam: np.ndarray) -> None:
+        """Install the edges' flow means λ and tabulate Eq. 6's inputs from them.
+
+        ``flow_tables[r]``: residue ``r``'s reporting edges' ``src``,
+        ``dst`` and ``λ`` in edge order, and their per-partition sums
+        ``out``/``in`` — the ``bincount``s of Eq. 6 when nothing rectifies.
+        ``pp_out[v]``/
+        ``pp_in[v]`` are PP's schedule rows for ``v``: the same sums taken
+        as one matrix product per partition, which may round differently in
+        the last bit, so each estimator reads the sums it was written for.
+        """
+        self.e_lam = e_lam = np.asarray(e_lam, dtype=float)
+        p, L = self.n_partitions, self.hyperperiod
+        self.flow_tables = []
+        for rep in self.edge_reports:
+            src, dst, lam = self.e_src[rep], self.e_dst[rep], e_lam[rep]
+            out = np.bincount(src, weights=lam, minlength=p)
+            inf = np.bincount(dst, weights=lam, minlength=p)
+            self.flow_tables.append((src, dst, lam, out, inf))
+        self.pp_out = np.zeros((p, L))
+        self.pp_in = np.zeros((p, L))
+        for v in range(p):
+            outs, ins = self.out_edges[v], self.in_edges[v]
+            self.pp_out[v] = self.edge_reports[:, outs] @ e_lam[outs]
+            self.pp_in[v] = self.edge_reports[:, ins] @ e_lam[ins]
 
     # -- sizes -----------------------------------------------------------
     @property
@@ -121,11 +156,14 @@ class IndoorCrowdModel:
         """Mask of the edges whose door reports at tick ``x``."""
         return self.edge_reports[x % self.hyperperiod]
 
+    def flow_table(self, x: int) -> tuple:
+        """Eq. 6's inputs at tick ``x``: ``(src, dst, λ, out, in)`` of its reporting edges."""
+        return self.flow_tables[x % self.hyperperiod]
+
     def update_count(self, v: int, lo: int, hi: int) -> int:
         """``|UT(v) ∩ (lo, hi]|``: ticks in ``(lo, hi]`` some door of ``v`` reports at."""
-        L, pre = self.hyperperiod, self.update_prefix
-        (q_hi, r_hi), (q_lo, r_lo) = divmod(hi, L), divmod(lo, L)
-        return int((q_hi - q_lo) * pre[L, v] + pre[r_hi, v] - pre[r_lo, v])
+        L, pre = self.hyperperiod, self.update_prefix[v]
+        return (hi // L - lo // L) * pre[L] + pre[hi % L] - pre[lo % L]
 
     # -- geometry (Eq. 1) --------------------------------------------------
     def d2d(self, v: int, d_i: int, d_j: int) -> float:

@@ -4,7 +4,7 @@ For each query instance and each of the six algorithm variants the paper
 compares (*PQ, *PQ-G, *PQ-PP, *PQ-NT, *PQ-GTG, *PQ-A), we measure:
 
 * **running time** — wall clock of one query (fresh estimator per query, as
-  the paper measures per-query cost);
+  the paper measures per-query cost), the median of ``TIMED_RUNS`` runs;
 * **memory** — ``tracemalloc`` peak over a separate identical run (KB); the
   instrumented run is kept apart so tracing overhead never pollutes timing;
 * **hit** — whether the returned door sequence equals the gold-standard
@@ -15,6 +15,7 @@ compares (*PQ, *PQ-G, *PQ-PP, *PQ-NT, *PQ-GTG, *PQ-A), we measure:
 """
 from __future__ import annotations
 
+import statistics
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -35,6 +36,9 @@ from repro.gtg.search import gtg_search
 from repro.space.queries import QueryInstance
 
 ALGORITHMS = ("", "-G", "-PP", "-NT", "-GTG", "-A")
+# Runs per query timing; one cold run is noisy enough to flip the paper's
+# Table-3 running-time orderings between variants.
+TIMED_RUNS = 3
 
 
 # Estimator class per algorithm; "-A" observes the gold table instead.
@@ -98,10 +102,17 @@ def measure_query(
     alg: str,
     gold: PathResult | None,
 ) -> QueryMeasure:
-    """Time, memory, hit and γ of one query against its gold path."""
-    t0 = time.perf_counter()
-    result = run_query(model, gold_table, inst, qt, alg)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+    """Time, memory, hit and γ of one query against its gold path.
+
+    ``wall_ms`` is the median of ``TIMED_RUNS`` runs, each with a fresh
+    estimator; memory is the ``tracemalloc`` peak of one more run.
+    """
+    times = []
+    for _ in range(TIMED_RUNS):
+        t0 = time.perf_counter()
+        result = run_query(model, gold_table, inst, qt, alg)
+        times.append((time.perf_counter() - t0) * 1000.0)
+    wall_ms = statistics.median(times)
     tracemalloc.start()
     run_query(model, gold_table, inst, qt, alg)
     _, peak = tracemalloc.get_traced_memory()

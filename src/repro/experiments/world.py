@@ -102,7 +102,7 @@ def build_mall_world(
         r = by_key.get((int(m.e_dst[e]), int(m.e_src[e]), int(m.e_door[e])))
         rev[e] = r if r is not None else e
     lam = np.array([(lam[e] + lam[rev[e]]) / 2.0 for e in range(m.n_edges)])
-    bs.model.e_lam = lam
+    bs.model.set_lambdas(lam)
     # Gold standard: as in the paper, accuracy on real data is judged against
     # *simulated trajectories* of the constructed crowd model — we run the
     # integer microsimulation under the fitted flows, seeded with the

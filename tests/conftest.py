@@ -4,7 +4,8 @@ Session-scoped because world construction (space + microsim + query
 generation) costs seconds; all tests treat them as read-only.  ``tiny_*``
 is a one-floor 16-partition space for exhaustive/brute-force checks;
 ``small_world`` is a one-floor 141-partition world — the paper's per-floor
-statistics at test-friendly cost.
+statistics at test-friendly cost; ``default_world`` is the Table-2 default
+world, for timing shape and regression digests.
 """
 from __future__ import annotations
 
@@ -26,10 +27,11 @@ def table_rows(
 
     Per-(qt, alg) means of ``measure_tasks`` over every instance, with NaN
     relative errors (no result) left out — the reference that
-    ``aggregate_table`` must reproduce.
+    ``aggregate_table`` must reproduce.  The variants of one instance run
+    back to back, so a drift in machine load shifts them alike.
     """
     n = len(world.instances)
-    tasks = [(i, qt, alg) for qt in qts for alg in algs for i in range(n)]
+    tasks = [(i, qt, alg) for i in range(n) for qt in qts for alg in algs]
     groups: dict[tuple[str, str], list] = {}
     for m in measure_tasks(world.model, world.gold_pop, world.instances, tasks):
         groups.setdefault((m.qt, m.alg), []).append(m)
@@ -86,6 +88,12 @@ def tiny_world(tiny_space) -> World:
 def small_world() -> World:
     settings = Settings(floors=1, n_instances=6, s2t=600.0, space_seed=7)
     return build_synthetic_world(settings)
+
+
+@pytest.fixture(scope="session")
+def default_world() -> World:
+    """The Table-2 default synthetic world, with 4 query instances."""
+    return build_synthetic_world(Settings(n_instances=4))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,8 @@
 """Tests for the population estimators (Section 4, Algorithms 1–2, PP/NT)."""
+import dataclasses
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -42,24 +46,60 @@ def _reference_global(model, tick):
     return pop
 
 
+@pytest.fixture(scope="module")
+def drained(world):
+    """The tiny world with one partition emptied at the snapshot and its
+    outflows quadrupled: it rectifies on most ticks it reports at.  It is
+    the partition that reports most often without reporting every tick, so
+    some ticks rectify nowhere."""
+    bs, _ = world
+    m = dataclasses.replace(bs.model)
+    share = m.part_updates.mean(axis=0)
+    v = int(np.argmax(np.where(share < 1, share, 0)))
+    lam = m.e_lam.copy()
+    lam[m.out_edges[v]] *= 4
+    m.set_lambdas(lam)
+    pop = m.pop_l.copy()
+    pop[v] = 0.0
+    m.set_snapshot(m.tick_l, pop, m.hist_diff, m.hist_ticks)
+    return m
+
+
 @pytest.mark.parametrize("tick", [11, 15, 30, 60])
 def test_global_matches_reference(world, tick):
     bs, _ = world
     est = GlobalEstimator(bs.model)
     ref = _reference_global(bs.model, tick)
     got = np.array([est.population(v, tick) for v in range(bs.model.n_partitions)])
-    assert np.allclose(got, ref, atol=1e-9)
+    assert np.array_equal(got, ref)
+
+
+def test_global_matches_reference_while_rectifying(drained):
+    """Both branches of the Eq. 6 step: summed flows when nothing
+    rectifies, re-summed scaled flows when some partition would ship more
+    than it holds."""
+    m = drained
+    est = GlobalEstimator(m)
+    est.ensure(75)
+    rectifying = [
+        bool((m.flow_table(x)[3] > est.pops[x - m.tick_l - 1]).any())
+        for x in range(m.tick_l + 1, 76)
+    ]
+    assert 2 * sum(rectifying) > len(rectifying) and not all(rectifying)
+    for tick in (11, 30, 75):
+        assert np.array_equal(est.pops[tick - m.tick_l], _reference_global(m, tick))
+    le = LocalEstimator(m)
+    for v in range(m.n_partitions):
+        assert le.population(v, 40) == est.population(v, 40)
 
 
 @pytest.mark.parametrize("tick", [11, 20, 45, 70])
 def test_local_equals_global(world, tick):
-    """The paper's two exact estimators must agree to float precision."""
+    """The paper's two exact estimators agree bit for bit."""
     bs, _ = world
     ge, le = GlobalEstimator(bs.model), LocalEstimator(bs.model)
     for v in range(bs.model.n_partitions):
-        assert le.population(v, tick) == pytest.approx(
-            ge.population(v, tick), abs=1e-9
-        )
+        assert le.population(v, tick) == ge.population(v, tick)
 
 
 def test_local_interleaved_queries_equal_global(world):
@@ -69,7 +109,7 @@ def test_local_interleaved_queries_equal_global(world):
     for _ in range(200):
         v = int(rng.integers(0, bs.model.n_partitions))
         t = int(rng.integers(11, 75))
-        assert le.population(v, t) == pytest.approx(ge.population(v, t), abs=1e-9)
+        assert le.population(v, t) == ge.population(v, t)
 
 
 def test_local_sparse_query_derives_only_cone(world):
@@ -179,6 +219,27 @@ def test_nt_no_history_never_skips():
     assert nt.population(3, 30) == pytest.approx(pp.population(3, 30))
 
 
+def test_nt_stats_match_per_partition_reference(world):
+    """μ/σ over each partition's own update ticks in the history window,
+    summed in window order as the column reductions sum them."""
+    bs, _ = world
+    m = bs.model
+    nt = NTEstimator(m)
+    for v in range(m.n_partitions):
+        periods = [int(p) for p in m.door_period[m.partition_doors(v)]]
+        xs = [
+            float(m.hist_diff[w, v])
+            for w, t in enumerate(m.hist_ticks)
+            if any(t % p == 0 for p in periods)
+        ]
+        if not xs:
+            assert nt.stats(v) == (0.0, math.inf)
+            continue
+        mu = sum(xs) / len(xs)
+        sigma = math.sqrt(sum((x - mu) * (x - mu) for x in xs) / len(xs))
+        assert nt.stats(v) == (mu, sigma)
+
+
 @pytest.mark.parametrize("tick", [12, 25, 50])
 def test_nt_count_updates_matches_bruteforce(world, tick):
     bs, _ = world
@@ -214,3 +275,25 @@ def test_local_dense_switch_preserves_values(world):
         v = t % m.n_partitions
         assert le.population(v, t) == pytest.approx(ge.population(v, t), abs=1e-9)
     assert le._dense is not None  # the switch actually happened
+
+
+def test_default_world_digests(default_world):
+    """Regression pins for the Table-2 default world, recorded before the
+    Eq. 6 step moved onto per-residue flow tables: Global's populations up
+    to the horizon, and NT's values on a fixed lookup grid."""
+    m = default_world.model
+    H = m.timeline.horizon
+    ge = GlobalEstimator(m)
+    ge.ensure(H - 1)
+    pops = np.stack(ge.pops)
+    assert pops.shape == (H - m.tick_l, m.n_partitions)
+    assert hashlib.sha256(pops.tobytes()).hexdigest() == (
+        "9cbb8878d02ea18dd660167adadb426a590c2b8fc18a41b476269c4f1cf31b56"
+    )
+    nt = NTEstimator(m)
+    grid = np.array(
+        [[nt.population(v, t) for t in range(m.tick_l + 1, H, 7)] for v in range(m.n_partitions)]
+    )
+    assert hashlib.sha256(grid.tobytes()).hexdigest() == (
+        "2dbde7ca5840a78cda89ca856ffe3b7a22c1035e19028c9f3c7b533bf015aa97"
+    )

@@ -115,6 +115,29 @@ def test_schedule_rows_match_reporting_mask(tiny_space, world):
         assert np.array_equal(m.reports(int(x)), expect)
 
 
+def test_flow_tables_follow_lambda_change():
+    """``set_lambdas`` re-tabulates Eq. 6's and PP's per-residue inputs."""
+    from tests.conftest import make_tiny_space
+
+    m = make_tiny_space().model
+    P = m.n_partitions
+    lam = np.random.default_rng(6).uniform(0.0, 3.0, m.n_edges)
+    assert not np.array_equal(lam, m.e_lam)
+    m.set_lambdas(lam)
+    assert np.array_equal(m.e_lam, lam)
+    for x in range(m.hyperperiod):
+        rep = m.reports(x)
+        src, dst, got, out, inf = m.flow_table(x)
+        assert np.array_equal(src, m.e_src[rep]) and np.array_equal(dst, m.e_dst[rep])
+        assert np.array_equal(got, lam[rep])
+        flow = np.where(rep, lam, 0.0)
+        assert np.array_equal(out, np.bincount(m.e_src, weights=flow, minlength=P))
+        assert np.array_equal(inf, np.bincount(m.e_dst, weights=flow, minlength=P))
+        for v in range(P):
+            assert m.pp_out[v, x] == pytest.approx(flow[m.out_edges[v]].sum())
+            assert m.pp_in[v, x] == pytest.approx(flow[m.in_edges[v]].sum())
+
+
 @pytest.mark.parametrize("period", [0, 6])
 def test_door_period_outside_paper_range_rejected(tiny_space, period):
     m = tiny_space.model

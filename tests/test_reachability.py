@@ -103,17 +103,14 @@ def public_functions() -> set[str]:
 def names_used_off_tests() -> set[str]:
     """Every name used, read as an attribute, or imported outside the tests."""
     used = set()
-    for top in ("src", "jobs", "perfbench"):
-        for f in (ROOT / top).rglob("*.py"):
-            if f.name.startswith("test_") or f.name == "conftest.py":
-                continue
-            for node in ast.walk(ast.parse(f.read_text(), str(f))):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    used.update(a.name for a in node.names)
+    for f in program_files():
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
     return used
 
 
@@ -132,20 +129,46 @@ SCHEDULE_NAMES = {"reporting_mask", "door_period"}
 SCHEDULE_OWNERS = {SRC / "repro" / "core" / "model.py", SRC / "repro" / "space"}
 
 
-def test_schedule_is_computed_only_on_the_model():
-    offenders = set()
+def program_files():
+    """Every non-test ``.py`` file under ``src/``, ``jobs/`` and ``perfbench/``."""
     for top in ("src", "jobs", "perfbench"):
         for f in (ROOT / top).rglob("*.py"):
-            if f.name.startswith("test_") or f.name == "conftest.py":
-                continue
-            if any(f == o or o in f.parents for o in SCHEDULE_OWNERS):
-                continue
-            for node in ast.walk(ast.parse(f.read_text(), str(f))):
-                name = (
-                    node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else None
-                )
-                if name in SCHEDULE_NAMES:
-                    offenders.add(f"{f.relative_to(ROOT)}:{node.lineno} {name}")
+            if not (f.name.startswith("test_") or f.name == "conftest.py"):
+                yield f
+
+
+def test_schedule_is_computed_only_on_the_model():
+    offenders = set()
+    for f in program_files():
+        if any(f == o or o in f.parents for o in SCHEDULE_OWNERS):
+            continue
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else None
+            )
+            if name in SCHEDULE_NAMES:
+                offenders.add(f"{f.relative_to(ROOT)}:{node.lineno} {name}")
     assert not offenders, f"door schedule computed off the model: {sorted(offenders)}"
+
+
+def test_lambdas_installed_only_on_the_model():
+    """The model's Eq. 6 flow tables are built from λ, so only the model
+    writes ``e_lam``: ``__post_init__`` and ``set_lambdas`` rebuild them."""
+    owner = SRC / "repro" / "core" / "model.py"
+    offenders = set()
+    for f in program_files():
+        if f == owner:
+            continue
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for sub in (n for t in targets for n in ast.walk(t)):
+                if isinstance(sub, ast.Attribute) and sub.attr == "e_lam":
+                    offenders.add(f"{f.relative_to(ROOT)}:{node.lineno}")
+    assert not offenders, f"e_lam written off the model: {sorted(offenders)}"

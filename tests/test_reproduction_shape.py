@@ -5,7 +5,6 @@ reduced-size world so they run in CI time.  Absolute numbers are hardware-
 dependent; the *shape* — which algorithm wins, how accuracy degrades — is
 what a reproduction must preserve.
 """
-import numpy as np
 import pytest
 
 from repro.core.search import FPQ, LCPQ
@@ -18,28 +17,13 @@ def rows(small_world):
 
 
 @pytest.fixture(scope="module")
-def timing_rows():
+def timing_rows(default_world):
     """Timing comparisons need the full default world: on the one-floor test
     world all searches finish in ~12 ms and scheduler noise swamps the
-    structural differences Table 3 reports.
-
-    Each running time is the median of three rounds' means.  GTG leads
-    the slowest other search by only about 1.3× (partition door sets are
-    model topology, not rebuilt per query), and one round of four cold
-    queries per variant is noisy enough to lose that lead now and then.
+    structural differences Table 3 reports.  Each query's running time is
+    already the median of several fresh-estimator runs (``measure_query``).
     """
-    from repro.experiments.params import Settings
-    from repro.experiments.world import build_synthetic_world
-
-    w = build_synthetic_world(Settings(n_instances=4))
-    rounds = [table_rows(w, (FPQ, LCPQ)) for _ in range(3)]
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for qt in (FPQ, LCPQ):
-        out[qt] = {}
-        for alg in rounds[0][qt]:
-            times = [r[qt][alg]["running_time_ms"] for r in rounds]
-            out[qt][alg] = {"running_time_ms": float(np.median(times))}
-    return out
+    return table_rows(default_world, (FPQ, LCPQ))
 
 
 @pytest.mark.parametrize("qt", [FPQ, LCPQ])
