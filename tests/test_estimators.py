@@ -280,7 +280,7 @@ def test_local_dense_switch_preserves_values(world):
 def test_default_world_digests(default_world):
     """Regression pins for the Table-2 default world, recorded before the
     Eq. 6 step moved onto per-residue flow tables: Global's populations up
-    to the horizon, and NT's values on a fixed lookup grid."""
+    to the horizon, and NT's and PP's values on a fixed lookup grid."""
     m = default_world.model
     H = m.timeline.horizon
     ge = GlobalEstimator(m)
@@ -296,4 +296,11 @@ def test_default_world_digests(default_world):
     )
     assert hashlib.sha256(grid.tobytes()).hexdigest() == (
         "2dbde7ca5840a78cda89ca856ffe3b7a22c1035e19028c9f3c7b533bf015aa97"
+    )
+    pp = PPEstimator(m)
+    grid = np.array(
+        [[pp.population(v, t) for t in range(m.tick_l + 1, H, 7)] for v in range(m.n_partitions)]
+    )
+    assert hashlib.sha256(grid.tobytes()).hexdigest() == (
+        "c4759f3a8ea8c96198174457bbc980572ce2111229be366cd6afa11ae4c59734"
     )
