@@ -13,9 +13,10 @@ populations ``(P_tl, t_l)`` — and differ in how rigidly they evolve Eq. 6
   *upstream cone* (the partitions whose rectified outflows feed it within
   the derivation window) needs, each one ``eq6_step``; the cone decides
   which ticks are derived and which values are kept, not the per-tick work.
-* ``PPEstimator`` — Strategy PP: rectify only the queried partition's own
+* ``PPEstimator`` — Strategy PP: each partition rectifies only its own
   outflows; inflows are taken at raw λ (Algorithm 2 with line 20 replaced by
-  the flow function's expectation).
+  the flow function's expectation).  That is Algorithm 1 with ``pp_step``:
+  ``eq6_step`` without the inflow re-sum.
 * ``NTEstimator`` — Strategy NT (layered on PP): when the partition's
   historical net flow is stable (σ < η), skip the tick-by-tick derivation and
   extrapolate ``P(t^a) = P(t_l) + μ · #skipped-updates`` (Eq. 7).
@@ -24,9 +25,9 @@ populations ``(P_tl, t_l)`` — and differ in how rigidly they evolve Eq. 6
 
 Eq. 6's inputs at tick ``x`` — the reporting edges and their summed
 ``out(x)``/``in(x)`` — are tabulated on the model per schedule residue
-(``model.flow_table``), so a tick costs the work of its reporting edges.
-PP reads its per-partition rows of the same schedule (``model.pp_out``/
-``pp_in``); NT counts update ticks with ``model.update_count`` (Eq. 7).
+(``model.flow_table``), so a tick costs the work of its reporting edges;
+Global, Local and PP all step on them.  NT counts update ticks with
+``model.update_count`` (Eq. 7).
 
 A fresh estimator is created per query (the paper's per-query measurement
 does the same); all derived state is owned by the instance, so
@@ -57,6 +58,13 @@ def eq6_step(model: IndoorCrowdModel, prev: np.ndarray, x: int) -> np.ndarray:
     return prev - np.minimum(out, prev) + inf
 
 
+def pp_step(model: IndoorCrowdModel, prev: np.ndarray, x: int) -> np.ndarray:
+    """One tick of Strategy PP: Eq. 6 with raw-λ inflows, each partition's
+    outflow capped at its own population ``prev``."""
+    out, inf = model.flow_table(x)[3:]
+    return prev - np.minimum(out, prev) + inf
+
+
 class GoldEstimator:
     """Ground-truth populations from a simulation table ``pop[H, P]``."""
 
@@ -70,7 +78,10 @@ class GoldEstimator:
 
 
 class GlobalEstimator:
-    """Algorithm 1: derive every partition's population tick by tick."""
+    """Algorithm 1: derive every partition's population tick by tick, each
+    tick one ``step`` (``PPEstimator`` swaps in its own)."""
+
+    step = staticmethod(eq6_step)
 
     def __init__(self, model: IndoorCrowdModel):
         if model.pop_l is None:
@@ -82,7 +93,7 @@ class GlobalEstimator:
     def ensure(self, tick: int) -> None:
         while self.tick0 + len(self.pops) - 1 < tick:
             x = self.tick0 + len(self.pops)
-            self.pops.append(eq6_step(self.model, self.pops[-1], x))
+            self.pops.append(self.step(self.model, self.pops[-1], x))
 
     def population(self, v: int, tick: int) -> float:
         if tick <= self.tick0:
@@ -182,63 +193,11 @@ class LocalEstimator:
         return float(self.pops[tick][v])
 
 
-class PPEstimator:
-    """Strategy PP: per-partition derivation with raw-λ inflows.
+class PPEstimator(GlobalEstimator):
+    """Strategy PP: Algorithm 1 with each partition rectifying only its own
+    outflows; inflows are taken at raw λ (``pp_step``)."""
 
-    The partition's expected out/in flows per schedule residue are the
-    model's ``pp_out[v]``/``pp_in[v]``.  The common case — the partition's
-    population never dips below its expected outflow — is fully vectorized
-    (a cumulative sum); the rare rectifying case falls back to a sequential
-    scan.
-    """
-
-    def __init__(self, model: IndoorCrowdModel):
-        if model.pop_l is None:
-            raise ValueError("model snapshot not installed")
-        self.model = model
-        self.tick0 = model.tick_l
-        self._series: dict[int, np.ndarray] = {}  # v -> pops for ticks tick0+1..
-        self._rows = np.empty(0, dtype=np.int64)  # schedule rows of ticks tick0+1..
-
-    def _derive(self, v: int, tick: int) -> np.ndarray:
-        m = self.model
-        n = tick - self.tick0
-        if len(self._rows) < n:
-            self._rows = np.arange(self.tick0 + 1, tick + 1) % m.hyperperiod
-        # expected out/in flow per schedule row, laid over the ticks
-        rows = self._rows[:n]
-        out_exp, in_exp = m.pp_out[v].take(rows), m.pp_in[v].take(rows)
-        p0 = float(m.pop_l[v])
-        traj = (in_exp - out_exp).cumsum()
-        traj += p0
-        bad = traj[:-1] < out_exp[1:]
-        if not (p0 < out_exp[0] or bad.any()):
-            return traj
-        # Rectifying scan (outflow capped at the current population) — only
-        # from the first tick where the unrectified trajectory would ship
-        # more than it holds; everything before is exact.
-        i0 = 0 if p0 < out_exp[0] else 1 + int(np.argmax(bad))
-        cur = p0 if i0 == 0 else float(traj[i0 - 1])
-        pops = traj
-        oe = out_exp[i0:].tolist()
-        ie = in_exp[i0:].tolist()
-        for j, (o, i_) in enumerate(zip(oe, ie)):
-            cur = cur - (o if o < cur else cur) + i_
-            pops[i0 + j] = cur
-        return pops
-
-    def population(self, v: int, tick: int) -> float:
-        if tick <= self.tick0:
-            return float(self.model.pop_l[v])
-        series = self._series.get(v)
-        if series is None or len(series) < tick - self.tick0:
-            # derive with generous headroom so repeated visits at growing
-            # arrival times don't re-derive the prefix each time — the
-            # per-tick marginal cost is two vector adds, re-deriving is the
-            # expensive part
-            series = self._derive(v, tick + 256)
-            self._series[v] = series
-        return float(series[tick - self.tick0 - 1])
+    step = staticmethod(pp_step)
 
 
 class NTEstimator:

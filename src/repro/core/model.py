@@ -20,7 +20,8 @@ report at aligned periods ``n ∈ {1..5}`` ticks, so the pattern repeats every
 ``L = lcm(periods)`` ticks (at most 60).  Eq. 6's reporting edges at tick
 ``x`` are row ``x mod L`` of ``edge_reports``; Eq. 7's update counts are read
 from per-partition prefix sums over one hyperperiod.  Eq. 6's λ-dependent
-inputs are tabulated per residue too (``flow_table``): they are rebuilt
+inputs are tabulated per residue too (``flow_table``), once for every
+estimator that steps Eq. 6 (Global, Local and PP): they are rebuilt
 whenever λ is installed, by ``__post_init__`` or ``set_lambdas``.
 """
 from __future__ import annotations
@@ -69,8 +70,6 @@ class IndoorCrowdModel:
     update_prefix: list = field(default_factory=list, repr=False)  # [P][L+1] ints
     # --- Eq. 6 inputs per residue, from λ (built in set_lambdas) ---------
     flow_tables: list = field(default_factory=list, repr=False)  # [L] (src, dst, λ, out, in)
-    pp_out: np.ndarray | None = field(default=None, repr=False)   # float[P,L]
-    pp_in: np.ndarray | None = field(default=None, repr=False)    # float[P,L]
     # --- objects other modules derive from the topology, keyed by module --
     derived: dict = field(default_factory=dict, repr=False)
 
@@ -112,26 +111,17 @@ class IndoorCrowdModel:
 
         ``flow_tables[r]``: residue ``r``'s reporting edges' ``src``,
         ``dst`` and ``λ`` in edge order, and their per-partition sums
-        ``out``/``in`` — the ``bincount``s of Eq. 6 when nothing rectifies.
-        ``pp_out[v]``/
-        ``pp_in[v]`` are PP's schedule rows for ``v``: the same sums taken
-        as one matrix product per partition, which may round differently in
-        the last bit, so each estimator reads the sums it was written for.
+        ``out``/``in`` — the ``bincount``s of Eq. 6 when nothing rectifies,
+        and Strategy PP's raw-λ flows on every tick.
         """
         self.e_lam = e_lam = np.asarray(e_lam, dtype=float)
-        p, L = self.n_partitions, self.hyperperiod
+        p = self.n_partitions
         self.flow_tables = []
         for rep in self.edge_reports:
             src, dst, lam = self.e_src[rep], self.e_dst[rep], e_lam[rep]
             out = np.bincount(src, weights=lam, minlength=p)
             inf = np.bincount(dst, weights=lam, minlength=p)
             self.flow_tables.append((src, dst, lam, out, inf))
-        self.pp_out = np.zeros((p, L))
-        self.pp_in = np.zeros((p, L))
-        for v in range(p):
-            outs, ins = self.out_edges[v], self.in_edges[v]
-            self.pp_out[v] = self.edge_reports[:, outs] @ e_lam[outs]
-            self.pp_in[v] = self.edge_reports[:, ins] @ e_lam[ins]
 
     # -- sizes -----------------------------------------------------------
     @property

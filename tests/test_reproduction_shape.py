@@ -69,8 +69,9 @@ def test_nt_least_memory_among_estimators(rows, qt):
 def test_nt_faster_than_exact(timing_rows, qt):
     """Finding: the approximate searches beat the exact ones on time."""
     r = timing_rows[qt]
-    assert r["-NT"]["running_time_ms"] < 1.1 * r[""]["running_time_ms"]
-    assert r["-NT"]["running_time_ms"] < 1.1 * r["-G"]["running_time_ms"]
+    for alg in ("-NT", "-PP"):
+        assert r[alg]["running_time_ms"] < 1.1 * r[""]["running_time_ms"]
+        assert r[alg]["running_time_ms"] < 1.1 * r["-G"]["running_time_ms"]
 
 
 @pytest.mark.parametrize("qt", [FPQ, LCPQ])
