@@ -21,8 +21,8 @@ report at aligned periods ``n ∈ {1..5}`` ticks, so the pattern repeats every
 ``x`` are row ``x mod L`` of ``edge_reports``; Eq. 7's update counts are read
 from per-partition prefix sums over one hyperperiod.  Eq. 6's λ-dependent
 inputs are tabulated per residue too (``flow_table``), once for every
-estimator that steps Eq. 6 (Global, Local and PP): they are rebuilt
-whenever λ is installed, by ``__post_init__`` or ``set_lambdas``.
+estimator that steps Eq. 6 (Global, which Local aliases, and PP): they are
+rebuilt whenever λ is installed, by ``__post_init__`` or ``set_lambdas``.
 """
 from __future__ import annotations
 

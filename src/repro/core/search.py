@@ -166,8 +166,8 @@ def search(
     final_cost = None
 
     while heap:
-        k, _, state, dist_c, time_c, contact_c = heapq.heappop(heap)
-        if state in done or k > best.get(state, k):
+        _, _, state, dist_c, time_c, contact_c = heapq.heappop(heap)
+        if state in done:
             continue
         done.add(state)
         if state == _TARGET:

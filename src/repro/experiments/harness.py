@@ -78,7 +78,7 @@ def gold_result(
     model: IndoorCrowdModel, gold_table: np.ndarray, inst: QueryInstance, qt: str
 ) -> PathResult | None:
     """The gold-standard path: exact search over simulated populations."""
-    est = GoldEstimator(model, gold_table)
+    est = GoldEstimator(gold_table)
     return search(model, est, inst.ps, inst.pt, model_tq(model), qt)
 
 

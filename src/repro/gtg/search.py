@@ -38,8 +38,8 @@ def gtg_search(
     heap = [((0.0, 0.0), next(counter), SOURCE, (0.0, 0.0, 0.0))]
     done: set[int] = set()
     while heap:
-        k, _, node, cost = heapq.heappop(heap)
-        if node in done or k > best.get(node, k):
+        _, _, node, cost = heapq.heappop(heap)
+        if node in done:
             continue
         done.add(node)
         if node == TARGET:

@@ -53,7 +53,7 @@ def test_adaptive_near_gold_in_static_world(tiny_world):
     static = np.repeat(tiny_world.gold_pop[10][None, :], len(tiny_world.gold_pop), 0)
     inst = tiny_world.instances[0]
     t_q = tiny_world.settings.t_q
-    gold = search(m, GoldEstimator(m, static), inst.ps, inst.pt, t_q, FPQ)
+    gold = search(m, GoldEstimator(static), inst.ps, inst.pt, t_q, FPQ)
     ada = adaptive_search(m, static, inst.ps, inst.pt, t_q, FPQ)
     assert ada.doors == gold.doors
     assert ada.time == pytest.approx(gold.time, rel=1e-9)

@@ -13,6 +13,8 @@ from repro.core.estimators import (
     NTEstimator,
     PPEstimator,
 )
+from repro.core.search import FPQ, LCPQ, search
+from repro.experiments.harness import model_tq
 from repro.sim.microsim import install_snapshot, simulate
 from tests.conftest import make_tiny_space
 
@@ -110,14 +112,6 @@ def test_local_interleaved_queries_equal_global(world):
         v = int(rng.integers(0, bs.model.n_partitions))
         t = int(rng.integers(11, 75))
         assert le.population(v, t) == ge.population(v, t)
-
-
-def test_local_sparse_query_derives_only_cone(world):
-    bs, _ = world
-    le = LocalEstimator(bs.model)
-    le.population(0, bs.model.tick_l + 2)
-    covered = sum(int(mask.sum()) for t, mask in le.valid.items() if t > bs.model.tick_l)
-    assert covered < 2 * bs.model.n_partitions  # strictly less than full
 
 
 def test_population_before_snapshot_is_latest(world):
@@ -261,7 +255,7 @@ def test_nt_count_updates_matches_bruteforce(world, tick):
 
 def test_gold_estimator_lookup(world):
     bs, sim = world
-    est = GoldEstimator(bs.model, sim.pop)
+    est = GoldEstimator(sim.pop)
     assert est.population(3, 17) == sim.pop[17, 3]
     # clamps beyond horizon
     assert est.population(3, 10**6) == sim.pop[-1, 3]
@@ -275,17 +269,43 @@ def test_estimator_requires_snapshot():
             cls(bs.model)
 
 
-def test_local_dense_switch_preserves_values(world):
-    bs, _ = world
-    m = bs.model
-    le = LocalEstimator(m)
-    ge = GlobalEstimator(m)
-    # advancing ticks across partitions guarantee misses that trip the
-    # dense switch; values must stay identical across the transition
-    for t in range(11, 75):
-        v = t % m.n_partitions
-        assert le.population(v, t) == pytest.approx(ge.population(v, t), abs=1e-9)
-    assert le._dense is not None  # the switch actually happened
+class _LoggingGlobal(GlobalEstimator):
+    """Algorithm 1 that records every ``(v, tick)`` lookup."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.lookups = []
+
+    def population(self, v, tick):
+        self.lookups.append((v, tick))
+        return super().population(v, tick)
+
+
+def test_upstream_cones_cover_global_work(default_world):
+    """Why *PQ derives as *PQ-G: the exact upstream cones of one search's
+    lookups, closed back to ``t_l``, cover most of the (partition, tick)
+    cells Algorithm 1 derives up to the last lookup.  If this fails, cones
+    have become sparse and Algorithm 2 needs its own derivation again."""
+    m = default_world.model
+    P = m.n_partitions
+    for inst in default_world.instances:
+        for qt in (FPQ, LCPQ):
+            est = _LoggingGlobal(m)
+            search(m, est, inst.ps, inst.pt, model_tq(m), qt)
+            at: dict[int, list[int]] = {}
+            for v, t in est.lookups:
+                if t > m.tick_l:
+                    at.setdefault(t, []).append(v)
+            last = max(at)
+            cone = np.zeros(P, dtype=bool)
+            cells = 0
+            for x in range(last, m.tick_l, -1):
+                cone[at.get(x, [])] = True
+                cells += int(cone.sum())
+                # P[x] reads P[x-1] of v and of the sources reporting into v at x
+                src, dst = m.flow_table(x)[:2]
+                cone[src[cone[dst]]] = True
+            assert cells >= 0.8 * P * (last - m.tick_l), (qt, cells)
 
 
 def test_default_world_digests(default_world):

@@ -13,6 +13,7 @@ some non-test file under ``src/``, ``jobs/`` or ``perfbench/``.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,3 +173,23 @@ def test_lambdas_installed_only_on_the_model():
                 if isinstance(sub, ast.Attribute) and sub.attr == "e_lam":
                     offenders.add(f"{f.relative_to(ROOT)}:{node.lineno}")
     assert not offenders, f"e_lam written off the model: {sorted(offenders)}"
+
+
+def test_perfbench_imports_resolve():
+    """Every ``from repro… import name`` in the benchmark's own files
+    (function-local imports included) names something the program still
+    has, so a rename surfaces here rather than as a failed benchmark run."""
+    missing = set()
+    for f in program_files():
+        if f.parent != ROOT / "perfbench":
+            continue
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if not (isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "repro"):
+                continue
+            mod = importlib.import_module(node.module)
+            missing.update(
+                f"{f.name}: {node.module}.{a.name}"
+                for a in node.names
+                if not hasattr(mod, a.name)
+            )
+    assert not missing, f"perfbench imports names the program lacks: {sorted(missing)}"

@@ -78,7 +78,7 @@ def test_search_matches_brute_force(env, qt, seed):
     a, b = rng.integers(0, m.n_partitions, 2)
     ps = IndoorPoint(int(a), world.bs.random_point(rng, int(a)))
     pt = IndoorPoint(int(b), world.bs.random_point(rng, int(b)))
-    est = GoldEstimator(m, world.gold_pop)
+    est = GoldEstimator(world.gold_pop)
     got = search(m, est, ps, pt, t_q, qt)
     ref = _brute_force(m, est, ps, pt, t_q, qt)
     if ref is None:
@@ -276,7 +276,7 @@ def test_static_distances_cover_reachable_states(env, rng):
 def test_crowd_free_search_matches_static_distances(env):
     """With no crowd, FPQ's time is ρ(0)/s̄ × distance: both Dijkstras agree."""
     world, m, t_q = env
-    empty = GoldEstimator(m, np.zeros_like(world.gold_pop))
+    empty = GoldEstimator(np.zeros_like(world.gold_pop))
     for inst in world.instances:
         r = search(m, empty, inst.ps, inst.pt, t_q, FPQ)
         static = static_distances(m, inst.ps)
