@@ -6,6 +6,12 @@ One Dijkstra-style label-setting search processes both query types:
 * **LCPQ** — priority = (overall contact, overall distance);
 
 per Problems 1 and 2 (minimize the primary cost; among ties, the shortest).
+A label also counts the doors passed, and among paths of equal cost and
+length the one through the fewest doors wins.  An exact tie on all three
+keeps the predecessor with the smaller label, then the one with the smaller
+state id.  Every leg adds a door, so each predecessor that ties has a
+strictly smaller label and is expanded before the state closes: the path
+returned does not depend on the order in which tied labels are popped.
 
 Search states are directed-edge ids — the pair "door passed, partition
 entered" — rather than bare doors: with directed doors a door can be
@@ -150,8 +156,7 @@ def search(
     # towards p_t when the current partition hosts it (Alg. 3 l.19-20)
     pt_list = [(_TARGET, _TARGET, pt.xyz), *sc.out_lists[pt_part]]
 
-    counter = itertools.count()
-    best: dict[int, tuple[float, float]] = {}
+    best: dict[int, tuple[float, float, int]] = {}
     prev: dict[int, int] = {}
     if start_door is None:
         origin = _SOURCE
@@ -160,13 +165,13 @@ def search(
         # resolve (door, partition-entered) to its directed-edge id
         origin = sc.edge_by_door_dst[(int(start_door[0]), int(start_door[1]))]
         origin_partition = int(start_door[1])
-    best[origin] = (0.0, 0.0)
-    heap: list[tuple] = [((0.0, 0.0), next(counter), origin, 0.0, 0.0, 0.0)]
+    best[origin] = (0.0, 0.0, 0)
+    heap: list[tuple] = [((0.0, 0.0, 0), origin, 0.0, 0.0, 0.0)]
     done: set[int] = set()
     final_cost = None
 
     while heap:
-        _, _, state, dist_c, time_c, contact_c = heapq.heappop(heap)
+        k, state, dist_c, time_c, contact_c = heapq.heappop(heap)
         if state in done:
             continue
         done.add(state)
@@ -185,6 +190,7 @@ def search(
         is_q = sc.is_q[v]
         rho, pop, dens = crowd_factors(population(v, tick), sc.area[v], sc.dmax[v], is_q)
         stair = sc.stair[v]
+        hops = k[2] + 1
         # expand to every unvisited leaveable door of v (Alg. 3 l.21-22)
         for e, d_out, to_xyz in pt_list if v == pt_part else sc.out_lists[v]:
             if e in done:
@@ -194,12 +200,14 @@ def search(
             nc0 = dist_c + seg
             nc1 = time_c + dt
             nc2 = contact_c + dk
-            nk = (nc1, nc0) if fpq else (nc2, nc0)
+            nk = (nc1, nc0, hops) if fpq else (nc2, nc0, hops)
             old = best.get(e)
             if old is None or nk < old:
                 best[e] = nk
                 prev[e] = state
-                heapq.heappush(heap, (nk, next(counter), e, nc0, nc1, nc2))
+                heapq.heappush(heap, (nk, e, nc0, nc1, nc2))
+            elif nk == old and (k, state) < (best[prev[e]], prev[e]):
+                prev[e] = state
     if final_cost is None:
         return None
     return _build_result(sc, origin, origin_partition, prev, final_cost)

@@ -8,7 +8,6 @@ per query (no precomputation).
 from __future__ import annotations
 
 import heapq
-import itertools
 
 from repro.core.model import IndoorCrowdModel
 from repro.core.search import FPQ, PathResult, segment_cost
@@ -24,21 +23,23 @@ def gtg_search(
     t_q: float,
     qt: str = FPQ,
 ) -> PathResult | None:
-    """Crowd-aware Dijkstra over the GTG (doors as vertices)."""
+    """Crowd-aware Dijkstra over the GTG (doors as vertices).
+
+    Labels and exact ties follow ``repro.core.search``: the label is (cost,
+    distance, doors passed), and a tie keeps the predecessor with the
+    smaller label, then the smaller ``(door, via)``.
+    """
     adj = build_gtg(model)
+    primary = 1 if qt == FPQ else 2
 
-    def key(cost):
-        return (cost[1], cost[0]) if qt == FPQ else (cost[2], cost[0])
-
-    counter = itertools.count()
     SOURCE, TARGET = -1, -2
     pt_doors = set(map(int, model.partition_doors(pt.partition)))
-    best = {SOURCE: (0.0, 0.0)}
+    best = {SOURCE: (0.0, 0.0, 0)}
     prev: dict[int, tuple[int | None, int]] = {SOURCE: (None, -1)}
-    heap = [((0.0, 0.0), next(counter), SOURCE, (0.0, 0.0, 0.0))]
+    heap = [((0.0, 0.0, 0), SOURCE, (0.0, 0.0, 0.0))]
     done: set[int] = set()
     while heap:
-        _, _, node, cost = heapq.heappop(heap)
+        k, node, cost = heapq.heappop(heap)
         if node in done:
             continue
         done.add(node)
@@ -46,16 +47,19 @@ def gtg_search(
             return _build(model, ps, prev, cost)
         dist_c, time_c, contact_c = cost
         arrival = t_q + time_c
+        hops = k[2] + 1
 
         def relax(nxt, via, seg):
             dt, dk = segment_cost(model, estimator, via, seg, arrival)
             new_cost = (dist_c + seg, time_c + dt, contact_c + dk)
-            nk = key(new_cost)
+            nk = (new_cost[primary], new_cost[0], hops)
             old = best.get(nxt)
             if old is None or nk < old:
                 best[nxt] = nk
                 prev[nxt] = (node, via)
-                heapq.heappush(heap, (nk, next(counter), nxt, new_cost))
+                heapq.heappush(heap, (nk, nxt, new_cost))
+            elif nk == old and (k, node, via) < (best[prev[nxt][0]], *prev[nxt]):
+                prev[nxt] = (node, via)
 
         if node == SOURCE:
             v = ps.partition
