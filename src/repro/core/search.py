@@ -1,9 +1,9 @@
 """Unified crowd-aware path search (Section 5.1, Algorithms 3 and 4).
 
-One Dijkstra-style label-setting search processes both query types:
+One label-setting search processes both query types:
 
-* **FPQ** — priority = (overall travel time, overall distance);
-* **LCPQ** — priority = (overall contact, overall distance);
+* **FPQ** — label = (overall travel time, overall distance);
+* **LCPQ** — label = (overall contact, overall distance);
 
 per Problems 1 and 2 (minimize the primary cost; among ties, the shortest).
 A label also counts the doors passed, and among paths of equal cost and
@@ -12,6 +12,20 @@ keeps the predecessor with the smaller label, then the one with the smaller
 state id.  Every leg adds a door, so each predecessor that ties has a
 strictly smaller label and is expanded before the state closes: the path
 returned does not depend on the order in which tied labels are popped.
+
+FPQ runs as A* (Hart, Nilsson and Raphael, 1968).  Eq. 2 gives every
+partition ``ρ = 1 + e^x ≥ 2``, even an empty one, so a leg of length ℓ takes
+at least ``2ℓ / s̄``.  Partitions are convex, no stairway is shorter than
+the straight line between its doors, and query points lie in rooms, so
+``h = 2·euclid(door, p_t) / s̄`` bounds the remaining time from below and
+never falls by more than a leg costs.  Only the heap priority moves, to
+``(g_t + h, g_d + euclid, doors)``; ``best`` and the tie rule keep the
+unshifted label, so the costs and the path equal those of plain Dijkstra.
+Both bounds are shrunk by a relative 1e-9 (``_BOUND_SHRINK``): a leg of
+positive length then raises the priority by at least 1e-9 of its time, far
+above rounding, a zero-length leg raises the door count, and so every tied
+predecessor still closes first.  LCPQ stays Dijkstra (bound 0): contact
+through an empty R-partition is 0, so no useful bound exists.
 
 Search states are directed-edge ids — the pair "door passed, partition
 entered" — rather than bare doors: with directed doors a door can be
@@ -40,6 +54,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.costs import crowd_factors, passing_costs
 from repro.core.model import IndoorCrowdModel
 from repro.space.geometry import IndoorPoint
@@ -49,6 +65,7 @@ LCPQ = "LCPQ"
 
 _SOURCE = -1  # virtual state (and pseudo-door) for p_s
 _TARGET = -2  # virtual state (and pseudo-door) for p_t
+_BOUND_SHRINK = 1.0 - 1e-9  # keeps priorities strictly rising (module docstring)
 
 
 @dataclass(frozen=True)
@@ -91,7 +108,9 @@ class _SearchCache:
     """
 
     def __init__(self, model: IndoorCrowdModel):
-        self.coords = [tuple(float(x) for x in c) for c in model.door_xyz]
+        self.door_xyz = np.asarray(model.door_xyz, dtype=float)
+        self.coords = [tuple(float(x) for x in c) for c in self.door_xyz]
+        self.no_bound = [0.0] * (len(self.coords) + 2)
         self.e_door = [int(d) for d in model.e_door]
         self.e_dst = [int(v) for v in model.e_dst]
         self.out_lists = [
@@ -113,6 +132,20 @@ def _cache(model: IndoorCrowdModel) -> _SearchCache:
     if got is None:
         got = model.derived[__name__] = _SearchCache(model)
     return got
+
+
+def lower_bounds(model: IndoorCrowdModel, pt: IndoorPoint, qt: str) -> tuple[list, list]:
+    """A*'s ``(time, distance)`` bounds from each door to ``p_t``, by door id.
+
+    FPQ: ``2·euclid / s̄`` and ``euclid``, both shrunk by ``_BOUND_SHRINK``;
+    LCPQ: 0.  The last two slots serve the pseudo-doors ``_TARGET`` and
+    ``_SOURCE`` (ids -2 and -1) and hold 0.
+    """
+    sc = _cache(model)
+    if qt != FPQ:
+        return sc.no_bound, sc.no_bound
+    d = np.sqrt(((sc.door_xyz - pt.coords()) ** 2).sum(axis=1)) * _BOUND_SHRINK
+    return [*(d * (2.0 / model.speed)).tolist(), 0.0, 0.0], [*d.tolist(), 0.0, 0.0]
 
 
 def _leg(stair: float, a: int, a_xyz, b: int, b_xyz) -> float:
@@ -155,6 +188,7 @@ def search(
     pt_part = pt.partition
     # towards p_t when the current partition hosts it (Alg. 3 l.19-20)
     pt_list = [(_TARGET, _TARGET, pt.xyz), *sc.out_lists[pt_part]]
+    h_time, h_dist = lower_bounds(model, pt, qt)
 
     best: dict[int, tuple[float, float, int]] = {}
     prev: dict[int, int] = {}
@@ -166,14 +200,14 @@ def search(
         origin = sc.edge_by_door_dst[(int(start_door[0]), int(start_door[1]))]
         origin_partition = int(start_door[1])
     best[origin] = (0.0, 0.0, 0)
-    heap: list[tuple] = [((0.0, 0.0, 0), origin, 0.0, 0.0, 0.0)]
+    heap: list[tuple] = [((0.0, 0.0, 0), origin, best[origin], 0.0, 0.0, 0.0)]
     done: set[int] = set()
     final_cost = None
 
     while heap:
-        k, state, dist_c, time_c, contact_c = heapq.heappop(heap)
-        if state in done:
-            continue
+        _, state, k, dist_c, time_c, contact_c = heapq.heappop(heap)
+        if state in done or k != best[state]:
+            continue  # closed, or since improved on: the entry is stale
         done.add(state)
         if state == _TARGET:
             final_cost = (dist_c, time_c, contact_c)
@@ -205,7 +239,8 @@ def search(
             if old is None or nk < old:
                 best[e] = nk
                 prev[e] = state
-                heapq.heappush(heap, (nk, e, nc0, nc1, nc2))
+                pk = (nk[0] + h_time[d_out], nc0 + h_dist[d_out], hops)
+                heapq.heappush(heap, (pk, e, nk, nc0, nc1, nc2))
             elif nk == old and (k, state) < (best[prev[e]], prev[e]):
                 prev[e] = state
     if final_cost is None:

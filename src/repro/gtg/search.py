@@ -1,4 +1,4 @@
-"""*PQ-GTG: Dijkstra over the general time-dependent graph (Section 6.1.1).
+"""*PQ-GTG: search over the general time-dependent graph (Section 6.1.1).
 
 Same routing-cost semantics as Algorithm 3 (Eq. 3 / Eq. 4 via a population
 estimator — the paper pairs GTG with "our exact population estimator"), but
@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 
 from repro.core.model import IndoorCrowdModel
-from repro.core.search import FPQ, PathResult, segment_cost
+from repro.core.search import FPQ, PathResult, lower_bounds, segment_cost
 from repro.gtg.graph import build_gtg
 from repro.space.geometry import IndoorPoint, euclid
 
@@ -23,25 +23,27 @@ def gtg_search(
     t_q: float,
     qt: str = FPQ,
 ) -> PathResult | None:
-    """Crowd-aware Dijkstra over the GTG (doors as vertices).
+    """Crowd-aware search over the GTG (doors as vertices).
 
-    Labels and exact ties follow ``repro.core.search``: the label is (cost,
-    distance, doors passed), and a tie keeps the predecessor with the
-    smaller label, then the smaller ``(door, via)``.
+    Labels, exact ties and the FPQ bound follow ``repro.core.search``: the
+    label is (cost, distance, doors passed), a tie keeps the predecessor
+    with the smaller label, then the smaller ``(door, via)``, and FPQ is A*
+    with the same door bound.
     """
     adj = build_gtg(model)
     primary = 1 if qt == FPQ else 2
+    h_time, h_dist = lower_bounds(model, pt, qt)
 
     SOURCE, TARGET = -1, -2
     pt_doors = set(map(int, model.partition_doors(pt.partition)))
     best = {SOURCE: (0.0, 0.0, 0)}
     prev: dict[int, tuple[int | None, int]] = {SOURCE: (None, -1)}
-    heap = [((0.0, 0.0, 0), SOURCE, (0.0, 0.0, 0.0))]
+    heap = [((0.0, 0.0, 0), SOURCE, best[SOURCE], (0.0, 0.0, 0.0))]
     done: set[int] = set()
     while heap:
-        k, node, cost = heapq.heappop(heap)
-        if node in done:
-            continue
+        _, node, k, cost = heapq.heappop(heap)
+        if node in done or k != best[node]:
+            continue  # closed, or since improved on: the entry is stale
         done.add(node)
         if node == TARGET:
             return _build(model, ps, prev, cost)
@@ -57,7 +59,8 @@ def gtg_search(
             if old is None or nk < old:
                 best[nxt] = nk
                 prev[nxt] = (node, via)
-                heapq.heappush(heap, (nk, nxt, new_cost))
+                pk = (nk[0] + h_time[nxt], new_cost[0] + h_dist[nxt], hops)
+                heapq.heappush(heap, (pk, nxt, nk, new_cost))
             elif nk == old and (k, node, via) < (best[prev[nxt][0]], *prev[nxt]):
                 prev[nxt] = (node, via)
 
