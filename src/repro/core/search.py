@@ -98,7 +98,7 @@ def segment_cost(
 
 
 class _SearchCache:
-    """Per-model plain-Python adjacency for the hot Dijkstra loop.
+    """Per-model plain-Python adjacency for the hot search loop.
 
     The search relaxes a few thousand edges per query; NumPy scalar indexing
     and per-call function dispatch would dominate the measurement, so door
