@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.model import IndoorCrowdModel
-from repro.core.search import FPQ, PathResult, search, segment_cost
-from repro.space.geometry import IndoorPoint, euclid
+from repro.core.search import _SOURCE, _TARGET, FPQ, PathResult, _cache, _leg, search, segment_cost
+from repro.space.geometry import IndoorPoint
 
 
 class FrozenEstimator:
@@ -47,6 +47,7 @@ def adaptive_search(
     max_steps: int = 500,
 ) -> PathResult | None:
     """Walk from ``p_s`` to ``p_t``, re-planning at every reached node."""
+    sc = _cache(model)
     doors: list[int] = []
     partitions: list[int] = [ps.partition]
     dist = time = contact = 0.0
@@ -61,34 +62,24 @@ def adaptive_search(
             r = search(model, est, None, pt, t_q + time, qt, start_door=at_door)
         if r is None:
             return None
+        # one hop: from p_s or the door reached, to the plan's first door or p_t
         cur_part = partitions[-1]
-        arrival = t_q + time
-        if not r.doors:
-            # direct segment to p_t inside the current partition
-            seg = (
-                euclid(ps.coords(), pt.coords())
-                if at_door is None
-                else model.point_to_door(pt, at_door[0])
-            )
-            dt, dk = segment_cost(model, est, cur_part, seg, arrival)
-            return PathResult(
-                doors=tuple(doors),
-                partitions=tuple(partitions),
-                dist=dist + seg,
-                time=time + dt,
-                contact=contact + dk,
-            )
-        nxt_door, nxt_part = r.doors[0], r.partitions[1]
-        seg = (
-            model.point_to_door(ps, nxt_door)
-            if at_door is None
-            else model.d2d(cur_part, at_door[0], nxt_door)
-        )
-        dt, dk = segment_cost(model, est, cur_part, seg, arrival)
+        a, a_xyz = (_SOURCE, ps.xyz) if at_door is None else (at_door[0], sc.coords[at_door[0]])
+        b, b_xyz = (r.doors[0], sc.coords[r.doors[0]]) if r.doors else (_TARGET, pt.xyz)
+        seg = _leg(sc.stair[cur_part], a, a_xyz, b, b_xyz)
+        dt, dk = segment_cost(model, est, cur_part, seg, t_q + time)
         dist += seg
         time += dt
         contact += dk
-        doors.append(nxt_door)
-        partitions.append(nxt_part)
-        at_door = (nxt_door, nxt_part)
+        if not r.doors:
+            return PathResult(
+                doors=tuple(doors),
+                partitions=tuple(partitions),
+                dist=dist,
+                time=time,
+                contact=contact,
+            )
+        doors.append(b)
+        partitions.append(r.partitions[1])
+        at_door = (b, r.partitions[1])
     return None

@@ -12,8 +12,8 @@ A directed labeled graph ``G(V, E, L_V, L_E)``:
 Representation: flat NumPy arrays over partition / door / directed-edge
 indices — compact and picklable (for Spark broadcast).  ``M_d2d`` is not
 materialized as per-vertex matrices: partitions are convex so it is the
-door-coordinate Euclidean distance, computed on demand (stairways carry an
-explicit walking length instead).
+door-coordinate Euclidean distance (stairways carry an explicit walking
+length instead), and Eq. 1 is written once, in ``repro.core.search._leg``.
 
 The door-reporting schedule (Section 6.1.1) is tabulated here once: doors
 report at aligned periods ``n ∈ {1..5}`` ticks, so the pattern repeats every
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.timeline import Timeline, reporting_mask
-from repro.space.geometry import IndoorPoint, euclid
 
 
 @dataclass
@@ -154,21 +153,6 @@ class IndoorCrowdModel:
         """``|UT(v) ∩ (lo, hi]|``: ticks in ``(lo, hi]`` some door of ``v`` reports at."""
         L, pre = self.hyperperiod, self.update_prefix[v]
         return (hi // L - lo // L) * pre[L] + pre[hi % L] - pre[lo % L]
-
-    # -- geometry (Eq. 1) --------------------------------------------------
-    def d2d(self, v: int, d_i: int, d_j: int) -> float:
-        """Intra-partition walking distance from door ``d_i`` to ``d_j``."""
-        if d_i == d_j:
-            return 0.0
-        if self.stair_len[v] > 0:
-            return float(self.stair_len[v])
-        return euclid(self.door_xyz[d_i], self.door_xyz[d_j])
-
-    def point_to_door(self, p: IndoorPoint, d: int) -> float:
-        """Walking distance from an indoor point to a door of its host."""
-        if self.stair_len[p.partition] > 0:
-            return float(self.stair_len[p.partition])
-        return euclid(p.coords(), self.door_xyz[d])
 
     # -- snapshot ----------------------------------------------------------
     def set_snapshot(

@@ -1,6 +1,6 @@
 """Unified crowd-aware path search (Section 5.1, Algorithms 3 and 4).
 
-One label-setting search processes both query types:
+One label-setting search, ``label_search``, processes both query types:
 
 * **FPQ** — label = (overall travel time, overall distance);
 * **LCPQ** — label = (overall contact, overall distance);
@@ -27,21 +27,23 @@ above rounding, a zero-length leg raises the door count, and so every tied
 predecessor still closes first.  LCPQ stays Dijkstra (bound 0): contact
 through an empty R-partition is 0, so no useful bound exists.
 
-Search states are directed-edge ids — the pair "door passed, partition
-entered" — rather than bare doors: with directed doors a door can be
+The search walks a ``StateGraph``: each state stands at a door, and its
+successors are ``(next state, partition passed, Eq. 1 leg)``.  On the crowd
+model a state is a directed-edge id — the pair "door passed, partition
+entered" — rather than a bare door: with directed doors a door can be
 approached from either side and the partition one ends up in differs.  The
 paper's Algorithm 3 encodes the same information as "``d_i``'s enterable
-partition minus the previous partition".  ``_SearchCache`` is the one
-definition of this state graph; ``static_distances`` (the crowd-free
-Dijkstra behind query generation) walks it too.
+partition minus the previous partition".  That graph is built once per model
+(``_SearchCache``); ``static_distances`` (the crowd-free Dijkstra behind
+query generation) walks it too.  *PQ-GTG hands the same loop its door-vertex
+graph (``repro.gtg.search``).  ``_leg`` is the one Eq. 1.
 
 Costs are computed *on the fly* (Algorithm 4's Cost): the time to pass a
 partition depends on its population at the arrival time, which depends on the
 time spent so far — the population estimator is queried with the tick
-covering ``t_q + elapsed``, and ``core.costs`` turns that population into
-Eq. 2–4 costs.  The leg to ``p_t`` is a pseudo-neighbour listed first in its
-host partition, so every leg goes through one relaxation block and one Eq. 1
-length rule (``_leg``).
+covering ``t_q + elapsed``, once per expanded state and partition passed, and
+``core.costs`` turns that population into Eq. 2–4 costs.  The legs from
+``p_s`` and to ``p_t`` are added per query.
 
 The search is exact for whichever estimator it is given; plugging in the
 global / local / PP / NT / gold estimators yields *PQ-G, *PQ, *PQ-PP,
@@ -97,57 +99,6 @@ def segment_cost(
     return passing_costs(dist, model.speed, rho, pop, dens, sc.is_q[v])
 
 
-class _SearchCache:
-    """Per-model plain-Python adjacency for the hot search loop.
-
-    The search relaxes a few thousand edges per query; NumPy scalar indexing
-    and per-call function dispatch would dominate the measurement, so door
-    coordinates, per-partition out-edge lists and vertex labels are lowered
-    to Python lists once per model.  ``out_lists[v]`` holds
-    ``(edge, door, door xyz)`` for every edge leaving ``v``.
-    """
-
-    def __init__(self, model: IndoorCrowdModel):
-        self.door_xyz = np.asarray(model.door_xyz, dtype=float)
-        self.coords = [tuple(float(x) for x in c) for c in self.door_xyz]
-        self.no_bound = [0.0] * (len(self.coords) + 2)
-        self.e_door = [int(d) for d in model.e_door]
-        self.e_dst = [int(v) for v in model.e_dst]
-        self.out_lists = [
-            [(int(e), self.e_door[e], self.coords[self.e_door[e]]) for e in model.out_edges[v]]
-            for v in range(model.n_partitions)
-        ]
-        self.stair = [float(s) for s in model.stair_len]
-        self.area = [float(a) for a in model.area]
-        self.dmax = [float(c / a) for c, a in zip(model.cap, model.area)]
-        self.is_q = [bool(q) for q in model.is_q]
-        self.edge_by_door_dst = {
-            (d, v): e
-            for e, (d, v) in enumerate(zip(self.e_door, self.e_dst))
-        }
-
-
-def _cache(model: IndoorCrowdModel) -> _SearchCache:
-    got = model.derived.get(__name__)
-    if got is None:
-        got = model.derived[__name__] = _SearchCache(model)
-    return got
-
-
-def lower_bounds(model: IndoorCrowdModel, pt: IndoorPoint, qt: str) -> tuple[list, list]:
-    """A*'s ``(time, distance)`` bounds from each door to ``p_t``, by door id.
-
-    FPQ: ``2·euclid / s̄`` and ``euclid``, both shrunk by ``_BOUND_SHRINK``;
-    LCPQ: 0.  The last two slots serve the pseudo-doors ``_TARGET`` and
-    ``_SOURCE`` (ids -2 and -1) and hold 0.
-    """
-    sc = _cache(model)
-    if qt != FPQ:
-        return sc.no_bound, sc.no_bound
-    d = np.sqrt(((sc.door_xyz - pt.coords()) ** 2).sum(axis=1)) * _BOUND_SHRINK
-    return [*(d * (2.0 / model.speed)).tolist(), 0.0, 0.0], [*d.tolist(), 0.0, 0.0]
-
-
 def _leg(stair: float, a: int, a_xyz, b: int, b_xyz) -> float:
     """Eq. 1: walking length from door (or point) ``a`` to ``b`` in one partition.
 
@@ -164,6 +115,81 @@ def _leg(stair: float, a: int, a_xyz, b: int, b_xyz) -> float:
     )
 
 
+class StateGraph:
+    """The graph ``label_search`` walks.
+
+    ``succ[s]`` lists ``(next state, partition passed, Eq. 1 leg)`` for each
+    leg out of state ``s``, the legs through one partition kept together;
+    ``leave[v]`` and ``enter[v]`` are the states that leave and enter
+    partition ``v`` — the legs from ``p_s`` end at the former, the legs to
+    ``p_t`` start at the latter; ``door[s]`` is the door state ``s`` stands at.
+    """
+
+    def __init__(self, door_xyz: np.ndarray, succ: list, leave: list, enter: list, door: list):
+        self.succ, self.leave, self.enter, self.door = succ, leave, enter, door
+        self.xyz = door_xyz[door]
+        self.no_bound = [0.0] * (len(door) + 2)
+
+
+class _SearchCache:
+    """Per-model plain-Python lists for the hot search loop, and the crowd
+    model's state graph.
+
+    The search relaxes a few thousand edges per query; NumPy scalar indexing
+    and per-call function dispatch would dominate the measurement, so door
+    coordinates, door sets and vertex labels are lowered to Python lists, and
+    every door-to-door leg is computed, once per model.
+    """
+
+    def __init__(self, model: IndoorCrowdModel):
+        self.door_xyz = np.asarray(model.door_xyz, dtype=float)
+        self.coords = [tuple(c) for c in self.door_xyz.tolist()]
+        self.stair = model.stair_len.astype(float).tolist()
+        self.area = model.area.astype(float).tolist()
+        self.dmax = (model.cap / model.area).astype(float).tolist()
+        self.is_q = model.is_q.astype(bool).tolist()
+        self.part_doors = [d.tolist() for d in model.part_doors]
+        e_door, e_dst = model.e_door.tolist(), model.e_dst.tolist()
+        self.edge_by_door_dst = {(d, v): e for e, (d, v) in enumerate(zip(e_door, e_dst))}
+        leave = [grp.tolist() for grp in model.out_edges]
+        c, stair = self.coords, self.stair
+        succ = [
+            [(f, v, _leg(stair[v], d, c[d], e_door[f], c[e_door[f]])) for f in leave[v]]
+            for d, v in zip(e_door, e_dst)
+        ]
+        enter = [grp.tolist() for grp in model.in_edges]
+        self.graph = StateGraph(self.door_xyz, succ, leave, enter, e_door)
+
+
+def _cache(model: IndoorCrowdModel) -> _SearchCache:
+    got = model.derived.get(__name__)
+    if got is None:
+        got = model.derived[__name__] = _SearchCache(model)
+    return got
+
+
+def lower_bounds(
+    model: IndoorCrowdModel, graph: StateGraph, pt: IndoorPoint, qt: str
+) -> tuple[list, list]:
+    """A*'s ``(time, distance)`` bounds from each state's door to ``p_t``.
+
+    FPQ: ``2·euclid / s̄`` and ``euclid``, both shrunk by ``_BOUND_SHRINK``;
+    LCPQ: 0.  Indexed by state; the last two slots serve ``_TARGET`` and
+    ``_SOURCE`` (ids -2 and -1) and hold 0.
+    """
+    if qt != FPQ:
+        return graph.no_bound, graph.no_bound
+    d = np.sqrt(((graph.xyz - pt.coords()) ** 2).sum(axis=1)) * _BOUND_SHRINK
+    return [*(d * (2.0 / model.speed)).tolist(), 0.0, 0.0], [*d.tolist(), 0.0, 0.0]
+
+
+def _source_legs(sc: _SearchCache, graph: StateGraph, ps: IndoorPoint) -> list:
+    """The legs from ``p_s`` to every state leaving its host partition."""
+    v, door, coords = ps.partition, graph.door, sc.coords
+    stair = sc.stair[v]
+    return [(s, v, _leg(stair, _SOURCE, ps.xyz, door[s], coords[door[s]])) for s in graph.leave[v]]
+
+
 def search(
     model: IndoorCrowdModel,
     estimator,
@@ -174,10 +200,33 @@ def search(
     *,
     start_door: tuple[int, int] | None = None,
 ) -> PathResult | None:
-    """Algorithm 3: crowd-aware search from ``p_s`` to ``p_t`` at ``t_q``.
+    """Algorithm 3 on the crowd model: from ``p_s`` to ``p_t`` at ``t_q``.
 
     ``start_door=(door, partition)`` replaces ``p_s`` as the origin — the
     adaptive baseline re-plans from the door it has just reached.
+    """
+    sc = _cache(model)
+    origin = _SOURCE
+    if start_door is not None:
+        # resolve (door, partition-entered) to its directed-edge id
+        origin = sc.edge_by_door_dst[(int(start_door[0]), int(start_door[1]))]
+    return label_search(model, sc.graph, estimator, ps, pt, t_q, qt, origin=origin)
+
+
+def label_search(
+    model: IndoorCrowdModel,
+    graph: StateGraph,
+    estimator,
+    ps: IndoorPoint | None,
+    pt: IndoorPoint,
+    t_q: float,
+    qt: str = FPQ,
+    *,
+    origin: int = _SOURCE,
+) -> PathResult | None:
+    """The label-setting loop of Algorithms 3 and 4 over ``graph``.
+
+    Starts at ``p_s``, or at state ``origin`` when one is given.
     """
     sc = _cache(model)
     fpq = qt == FPQ
@@ -185,91 +234,81 @@ def search(
     max_tick = model.timeline.horizon - 1
     speed = model.speed
     population = estimator.population
-    pt_part = pt.partition
-    # towards p_t when the current partition hosts it (Alg. 3 l.19-20)
-    pt_list = [(_TARGET, _TARGET, pt.xyz), *sc.out_lists[pt_part]]
-    h_time, h_dist = lower_bounds(model, pt, qt)
+    area, dmax, is_q = sc.area, sc.dmax, sc.is_q
+    succ, door = graph.succ, graph.door
+    h_time, h_dist = lower_bounds(model, graph, pt, qt)
 
-    best: dict[int, tuple[float, float, int]] = {}
-    prev: dict[int, int] = {}
-    if start_door is None:
-        origin = _SOURCE
-        origin_partition = ps.partition
-    else:
-        # resolve (door, partition-entered) to its directed-edge id
-        origin = sc.edge_by_door_dst[(int(start_door[0]), int(start_door[1]))]
-        origin_partition = int(start_door[1])
-    best[origin] = (0.0, 0.0, 0)
+    # this query's legs: p_s out of its host, and into p_t from the states
+    # entering its host (Alg. 3 l.19-20), each beside that partition's legs
+    pt_part, pt_stair = pt.partition, sc.stair[pt.partition]
+    legs: dict[int, list] = {}
+    for s in graph.enter[pt_part]:
+        to_pt = (_TARGET, pt_part, _leg(pt_stair, door[s], sc.coords[door[s]], _TARGET, pt.xyz))
+        out = succ[s]
+        i = next((j for j, x in enumerate(out) if x[1] == pt_part), len(out))
+        legs[s] = [*out[:i], to_pt, *out[i:]]
+    if origin == _SOURCE:
+        legs[_SOURCE] = _source_legs(sc, graph, ps)
+        if ps.partition == pt_part:
+            legs[_SOURCE].insert(0, (_TARGET, pt_part, _leg(pt_stair, _SOURCE, ps.xyz, _TARGET, pt.xyz)))
+
+    best: dict[int, tuple[float, float, int]] = {origin: (0.0, 0.0, 0)}
+    prev: dict[int, tuple[int, int]] = {}  # state -> (predecessor, partition passed)
     heap: list[tuple] = [((0.0, 0.0, 0), origin, best[origin], 0.0, 0.0, 0.0)]
     done: set[int] = set()
-    final_cost = None
-
     while heap:
         _, state, k, dist_c, time_c, contact_c = heapq.heappop(heap)
         if state in done or k != best[state]:
             continue  # closed, or since improved on: the entry is stale
         done.add(state)
         if state == _TARGET:
-            final_cost = (dist_c, time_c, contact_c)
-            break
-        if state == _SOURCE:
-            v, from_door, from_xyz = ps.partition, _SOURCE, ps.xyz
-        else:
-            v, from_door = sc.e_dst[state], sc.e_door[state]
-            from_xyz = sc.coords[from_door]
-        # population-dependent factors of the current partition (Alg. 4 Cost)
+            return _path(graph, origin, prev, dist_c, time_c, contact_c)
         tick = int((t_q + time_c) // ti)
         if tick > max_tick:
             tick = max_tick
-        is_q = sc.is_q[v]
-        rho, pop, dens = crowd_factors(population(v, tick), sc.area[v], sc.dmax[v], is_q)
-        stair = sc.stair[v]
         hops = k[2] + 1
-        # expand to every unvisited leaveable door of v (Alg. 3 l.21-22)
-        for e, d_out, to_xyz in pt_list if v == pt_part else sc.out_lists[v]:
-            if e in done:
+        fv = -1
+        out = legs.get(state)
+        # expand to every unvisited successor (Alg. 3 l.21-22)
+        for nxt, v, seg in succ[state] if out is None else out:
+            if nxt in done:
                 continue
-            seg = _leg(stair, from_door, from_xyz, d_out, to_xyz)
-            dt, dk = passing_costs(seg, speed, rho, pop, dens, is_q)
+            if v != fv:  # population-dependent factors of v (Alg. 4 Cost)
+                fv, q = v, is_q[v]
+                rho, pop, dens = crowd_factors(population(v, tick), area[v], dmax[v], q)
+            dt, dk = passing_costs(seg, speed, rho, pop, dens, q)
             nc0 = dist_c + seg
             nc1 = time_c + dt
             nc2 = contact_c + dk
             nk = (nc1, nc0, hops) if fpq else (nc2, nc0, hops)
-            old = best.get(e)
+            old = best.get(nxt)
             if old is None or nk < old:
-                best[e] = nk
-                prev[e] = state
-                pk = (nk[0] + h_time[d_out], nc0 + h_dist[d_out], hops)
-                heapq.heappush(heap, (pk, e, nk, nc0, nc1, nc2))
-            elif nk == old and (k, state) < (best[prev[e]], prev[e]):
-                prev[e] = state
-    if final_cost is None:
-        return None
-    return _build_result(sc, origin, origin_partition, prev, final_cost)
+                best[nxt] = nk
+                prev[nxt] = (state, v)
+                pk = (nk[0] + h_time[nxt], nc0 + h_dist[nxt], hops)
+                heapq.heappush(heap, (pk, nxt, nk, nc0, nc1, nc2))
+            elif nk == old and (k, state) < (best[prev[nxt][0]], prev[nxt][0]):
+                prev[nxt] = (state, v)
+    return None
 
 
-def _build_result(
-    sc: _SearchCache,
-    origin: int,
-    origin_partition: int,
-    prev: dict[int, int],
-    cost: tuple[float, float, float],
+def _path(
+    graph: StateGraph, origin: int, prev: dict, dist: float, time: float, contact: float
 ) -> PathResult:
+    """Follow ``prev`` back from ``p_t``: the doors of the states and the partitions passed."""
     doors: list[int] = []
-    partitions: list[int] = []
-    state = prev[_TARGET]
+    state, v = prev[_TARGET]
+    partitions = [v]
     while state != origin:
-        doors.append(sc.e_door[state])
-        partitions.append(sc.e_dst[state])
-        state = prev[state]
-    doors.reverse()
-    partitions.reverse()
+        doors.append(graph.door[state])
+        state, v = prev[state]
+        partitions.append(v)
     return PathResult(
-        doors=tuple(doors),
-        partitions=(origin_partition, *partitions),
-        dist=cost[0],
-        time=cost[1],
-        contact=cost[2],
+        doors=tuple(reversed(doors)),
+        partitions=tuple(reversed(partitions)),
+        dist=dist,
+        time=time,
+        contact=contact,
     )
 
 
@@ -281,6 +320,8 @@ def static_distances(model: IndoorCrowdModel, ps: IndoorPoint) -> dict[int, floa
     generator.
     """
     sc = _cache(model)
+    succ = sc.graph.succ
+    source = _source_legs(sc, sc.graph, ps)
     counter = itertools.count()
     dist: dict[int, float] = {}
     heap: list[tuple] = [(0.0, next(counter), _SOURCE)]
@@ -290,16 +331,10 @@ def static_distances(model: IndoorCrowdModel, ps: IndoorPoint) -> dict[int, floa
         if state in done:
             continue
         done.add(state)
-        if state == _SOURCE:
-            v, from_door, from_xyz = ps.partition, _SOURCE, ps.xyz
-        else:
-            v, from_door = sc.e_dst[state], sc.e_door[state]
-            from_xyz = sc.coords[from_door]
-        stair = sc.stair[v]
-        for e, d_out, to_xyz in sc.out_lists[v]:
+        for e, _, seg in source if state == _SOURCE else succ[state]:
             if e in done:
                 continue
-            nd = d + _leg(stair, from_door, from_xyz, d_out, to_xyz)
+            nd = d + seg
             if nd < dist.get(e, math.inf):
                 dist[e] = nd
                 heapq.heappush(heap, (nd, next(counter), e))

@@ -17,6 +17,7 @@ from repro.experiments.params import Settings
 from repro.experiments.world import World, build_synthetic_world
 from repro.sim.microsim import install_snapshot, simulate
 from repro.space.floorplan import BuiltSpace, build_space
+from repro.space.geometry import IndoorPoint, euclid
 from repro.space.queries import generate_instances
 
 
@@ -45,6 +46,23 @@ def table_rows(
             "relative_error": float(np.mean(errs)) if errs else float("nan"),
         }
     return rows
+
+
+def walk_length(model, v: int, a, b) -> float:
+    """Eq. 1 for the test references, written apart from the search's.
+
+    Walking length inside partition ``v`` from ``a`` to ``b``, each a door
+    id or an ``IndoorPoint``: 0 from a door to itself, the stairway's length
+    for a stairway leg that touches a door, else the straight line.
+    """
+    a_point, b_point = isinstance(a, IndoorPoint), isinstance(b, IndoorPoint)
+    if not (a_point or b_point) and a == b:
+        return 0.0
+    if model.stair_len[v] > 0 and not (a_point and b_point):
+        return float(model.stair_len[v])
+    xyz_a = a.coords() if a_point else model.door_xyz[a]
+    xyz_b = b.coords() if b_point else model.door_xyz[b]
+    return euclid(xyz_a, xyz_b)
 
 
 def make_tiny_space(**overrides) -> BuiltSpace:

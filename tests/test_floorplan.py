@@ -4,6 +4,7 @@ import collections
 import numpy as np
 import pytest
 
+from repro.core.search import _leg
 from repro.space.floorplan import build_space, synthetic_space
 from tests.conftest import make_tiny_space
 
@@ -129,7 +130,8 @@ def test_stair_walking_distance():
     m = bs.model
     v = int(np.flatnonzero(m.stair_len > 0)[0])
     doors = m.partition_doors(v)
-    assert m.d2d(v, int(doors[0]), int(doors[1])) == 20.0
+    a, b = int(doors[0]), int(doors[1])
+    assert _leg(float(m.stair_len[v]), a, tuple(m.door_xyz[a]), b, tuple(m.door_xyz[b])) == 20.0
 
 
 def test_determinism_same_seed():

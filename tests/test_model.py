@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.search import _SOURCE, _leg
 from repro.core.timeline import reporting_mask
 from repro.space.geometry import IndoorPoint, euclid
 
@@ -51,11 +52,16 @@ def test_partition_doors_union_on_one_way_model():
         assert m.partition_doors(v).tolist() == sorted(leave | enter)
 
 
+def _d2d(m, v, a, b):
+    """The search's Eq. 1 leg from door ``a`` to door ``b`` inside ``v``."""
+    return _leg(float(m.stair_len[v]), a, tuple(m.door_xyz[a]), b, tuple(m.door_xyz[b]))
+
+
 def test_d2d_zero_same_door(tiny_space):
     m = tiny_space.model
     v = 0
     d = int(m.partition_doors(v)[0])
-    assert m.d2d(v, d, d) == 0.0
+    assert _d2d(m, v, d, d) == 0.0
 
 
 def test_d2d_symmetric(tiny_space):
@@ -65,7 +71,7 @@ def test_d2d_symmetric(tiny_space):
         for i in range(len(doors)):
             for j in range(i + 1, len(doors)):
                 a, b = int(doors[i]), int(doors[j])
-                assert m.d2d(v, a, b) == pytest.approx(m.d2d(v, b, a))
+                assert _d2d(m, v, a, b) == pytest.approx(_d2d(m, v, b, a))
 
 
 def test_d2d_is_euclidean_for_rooms(tiny_space):
@@ -74,7 +80,7 @@ def test_d2d_is_euclidean_for_rooms(tiny_space):
     doors = m.partition_doors(v)
     if len(doors) >= 2:
         a, b = int(doors[0]), int(doors[1])
-        assert m.d2d(v, a, b) == pytest.approx(
+        assert _d2d(m, v, a, b) == pytest.approx(
             euclid(m.door_xyz[a], m.door_xyz[b])
         )
 
@@ -84,7 +90,8 @@ def test_point_to_door(tiny_space, rng):
     v = 3
     p = IndoorPoint(v, tiny_space.random_point(rng, v))
     d = int(m.partition_doors(v)[0])
-    assert m.point_to_door(p, d) == pytest.approx(euclid(p.coords(), m.door_xyz[d]))
+    leg = _leg(float(m.stair_len[v]), _SOURCE, p.xyz, d, tuple(m.door_xyz[d]))
+    assert leg == pytest.approx(euclid(p.coords(), m.door_xyz[d]))
 
 
 def test_part_periods_union_of_doors(tiny_space):

@@ -1,4 +1,6 @@
 """Tests for the s2t-controlled query-instance generator."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,15 @@ def test_unreachable_s2t_raises(tiny_space):
         generate_instances(
             tiny_space, n=3, s2t=10_000.0, tol=10.0, seed=1, max_attempts=20
         )
+
+
+def test_default_world_instances_pinned(default_world):
+    """The benchmark's inputs stay put: the default world's seed-3 instances
+    (points and ``static_dist``).  They depend on the order in which
+    ``static_distances`` pops exactly tied distances, so a change to its
+    state graph or its loop must keep that order."""
+    h = hashlib.sha256()
+    for inst in generate_instances(default_world.bs, seed=3):
+        h.update(np.array([inst.ps.partition, inst.pt.partition], dtype=np.int64).tobytes())
+        h.update(np.array([*inst.ps.xyz, *inst.pt.xyz, inst.static_dist], dtype=float).tobytes())
+    assert h.hexdigest() == "d0e76ec71b0e640167b5c5538b979eca11366956bb28a1215779611934a9068f"

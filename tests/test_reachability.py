@@ -193,3 +193,23 @@ def test_perfbench_imports_resolve():
                 if not hasattr(mod, a.name)
             )
     assert not missing, f"perfbench imports names the program lacks: {sorted(missing)}"
+
+
+def test_only_the_search_imports_heapq():
+    """One label-setting loop: outside the tests, ``core/search.py`` alone
+    imports ``heapq``, so no module grows a second search."""
+    owner = SRC / "repro" / "core" / "search.py"
+    offenders = set()
+    for f in program_files():
+        if f == owner:
+            continue
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "heapq" in names:
+                offenders.add(f"{f.relative_to(ROOT)}:{node.lineno}")
+    assert not offenders, f"heapq imported off the search: {sorted(offenders)}"

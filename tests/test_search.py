@@ -13,6 +13,7 @@ from repro.core.search import (
     static_distances,
 )
 from repro.space.geometry import IndoorPoint, euclid
+from tests.conftest import walk_length
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +34,7 @@ def _brute_force(model, est, ps, pt, t_q, qt, max_doors=6):
         nonlocal best
         if v == pt.partition:
             last = seq[-1] if seq else None
-            seg = (
-                euclid(ps.coords(), pt.coords())
-                if last is None
-                else model.point_to_door(pt, last[2])
-            )
+            seg = walk_length(model, v, ps if last is None else last[2], pt)
             dt, dk = segment_cost(model, est, v, seg, t_q + time)
             cand = (dist + seg, time + dt, contact + dk, tuple(s[2] for s in seq))
             key = (cand[1], cand[0]) if qt == FPQ else (cand[2], cand[0])
@@ -51,11 +48,7 @@ def _brute_force(model, est, ps, pt, t_q, qt, max_doors=6):
             if model.e_src[e] != v or e in visited:
                 continue
             last = seq[-1] if seq else None
-            seg = (
-                model.point_to_door(ps, d)
-                if last is None
-                else model.d2d(v, last[2], d)
-            )
+            seg = walk_length(model, v, ps if last is None else last[2], d)
             dt, dk = segment_cost(model, est, v, seg, t_q + time)
             extend(
                 seq + [(e, v2, d)],
@@ -113,25 +106,17 @@ def test_path_is_topologically_valid(env, qt):
 
 
 def _assert_rewalk_matches(model, est, ps, pt, t_q, r):
-    """Re-walking ``r``'s path with the model's Eq. 1 legs reproduces its costs."""
+    """Re-walking ``r``'s path with the test's own Eq. 1 legs reproduces its costs."""
     dist = time = contact = 0.0
     cur_node = None
     for i, d in enumerate(r.doors):
         v = r.partitions[i]
-        seg = (
-            model.point_to_door(ps, d)
-            if cur_node is None
-            else model.d2d(v, cur_node, d)
-        )
+        seg = walk_length(model, v, ps if cur_node is None else cur_node, d)
         dt, dk = segment_cost(model, est, v, seg, t_q + time)
         dist, time, contact = dist + seg, time + dt, contact + dk
         cur_node = d
     v = r.partitions[-1]
-    seg = (
-        euclid(ps.coords(), pt.coords())
-        if cur_node is None
-        else model.point_to_door(pt, cur_node)
-    )
+    seg = walk_length(model, v, ps if cur_node is None else cur_node, pt)
     dt, dk = segment_cost(model, est, v, seg, t_q + time)
     dist, time, contact = dist + seg, time + dt, contact + dk
     assert dist == pytest.approx(r.dist)
@@ -263,7 +248,7 @@ def test_static_distances_triangle_inequality(env, rng):
     for e, d in dists.items():
         door, part = int(m.e_door[e]), int(m.e_dst[e])
         for e2 in m.out_edges[part]:
-            seg = m.d2d(part, door, int(m.e_door[e2]))
+            seg = walk_length(m, part, door, int(m.e_door[e2]))
             assert dists[int(e2)] <= d + seg + 1e-9
 
 

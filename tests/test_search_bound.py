@@ -19,68 +19,67 @@ from repro.core.adaptive import FrozenEstimator
 from repro.core.costs import crowd_factors, passing_costs
 from repro.core.estimators import GlobalEstimator, GoldEstimator, NTEstimator, PPEstimator
 from repro.core.model import IndoorCrowdModel
-from repro.core.search import (
-    _SOURCE,
-    _TARGET,
-    FPQ,
-    LCPQ,
-    _build_result,
-    _cache,
-    _leg,
-    lower_bounds,
-    search,
-)
+from repro.core.search import FPQ, LCPQ, PathResult, lower_bounds, search
 from repro.core.timeline import Timeline
 from repro.gtg.search import gtg_search
 from repro.space.geometry import IndoorPoint, euclid
 from repro.space.mall import mall_space
 from repro.space.queries import generate_instances
+from tests.conftest import walk_length
+
+
+_S, _T = -1, -2  # the reference's ids for p_s and p_t
 
 
 def _dijkstra(model, est, ps, pt, t_q, qt=FPQ):
-    """Plain Dijkstra (h ≡ 0) over ``search``'s state graph and tie rule.
+    """Plain Dijkstra (h ≡ 0) under ``search``'s tie rule, built apart from it.
 
-    Labels are ``(cost, dist, doors)``; an exact tie keeps the predecessor
-    with the smaller label, then the smaller state id.  The leg to ``p_t``
-    is relaxed last here (``search`` relaxes it first): the rule, not the
-    relaxation order, decides ties.
+    States are directed-edge ids, with adjacency read from
+    ``model.out_edges`` and legs from the test's own Eq. 1.  Labels are
+    ``(cost, dist, doors)``; an exact tie keeps the predecessor with the
+    smaller label, then the smaller state id.  The leg to ``p_t`` is relaxed
+    last here (``search`` relaxes it first): the rule, not the relaxation
+    order, decides ties.
     """
-    sc = _cache(model)
-    best = {_SOURCE: (0.0, 0.0, 0)}
-    costs = {_SOURCE: (0.0, 0.0, 0.0)}
-    prev: dict[int, int] = {}
-    heap = [(best[_SOURCE], _SOURCE)]
+    best = {_S: (0.0, 0.0, 0)}
+    costs = {_S: (0.0, 0.0, 0.0)}
+    prev: dict[int, tuple[int, int]] = {}  # state -> (predecessor, partition passed)
+    heap = [(best[_S], _S)]
     done: set[int] = set()
     while heap:
         k, s = heapq.heappop(heap)
         if s in done:
             continue
         done.add(s)
-        if s == _TARGET:
-            return _build_result(sc, _SOURCE, ps.partition, prev, costs[s])
-        if s == _SOURCE:
-            v, a, a_xyz = ps.partition, _SOURCE, ps.xyz
-        else:
-            v, a = sc.e_dst[s], sc.e_door[s]
-            a_xyz = sc.coords[a]
+        if s == _T:
+            doors, parts = [], []
+            while s != _S:
+                s, v = prev[s]
+                parts.append(v)
+                if s != _S:
+                    doors.append(int(model.e_door[s]))
+            return PathResult(tuple(doors[::-1]), tuple(parts[::-1]), *costs[_T])
+        a = ps if s == _S else int(model.e_door[s])
+        v = ps.partition if s == _S else int(model.e_dst[s])
         dist, time, contact = costs[s]
         pop = est.population(v, model.timeline.tick(t_q + time))
-        rho, pop, dens = crowd_factors(pop, sc.area[v], sc.dmax[v], sc.is_q[v])
-        legs = list(sc.out_lists[v])
+        is_q = bool(model.is_q[v])
+        rho, pop, dens = crowd_factors(pop, float(model.area[v]), float(model.cap[v] / model.area[v]), is_q)
+        legs = [(int(e), int(model.e_door[e])) for e in model.out_edges[v]]
         if v == pt.partition:
-            legs.append((_TARGET, _TARGET, pt.xyz))
-        for e, b, b_xyz in legs:
+            legs.append((_T, pt))
+        for e, b in legs:
             if e in done:
                 continue
-            seg = _leg(sc.stair[v], a, a_xyz, b, b_xyz)
-            dt, dk = passing_costs(seg, model.speed, rho, pop, dens, sc.is_q[v])
+            seg = walk_length(model, v, a, b)
+            dt, dk = passing_costs(seg, model.speed, rho, pop, dens, is_q)
             c = (dist + seg, time + dt, contact + dk)
             nk = (c[1] if qt == FPQ else c[2], c[0], k[2] + 1)
             if e not in best or nk < best[e]:
-                best[e], costs[e], prev[e] = nk, c, s
+                best[e], costs[e], prev[e] = nk, c, (s, v)
                 heapq.heappush(heap, (nk, e))
-            elif nk == best[e] and (k, s) < (best[prev[e]], prev[e]):
-                prev[e] = s
+            elif nk == best[e] and (k, s) < (best[prev[e][0]], prev[e][0]):
+                prev[e] = (s, v)
     return None
 
 
@@ -174,15 +173,58 @@ def test_lcpq_equals_plain_dijkstra(tiny_world, default_world):
 
 
 def test_gtg_bound_keeps_paths(default_world, monkeypatch):
-    """GTG with the bound returns what GTG without it (h ≡ 0) returns."""
-    import repro.gtg.search as gtg
+    """GTG with the bound returns what GTG without it (h ≡ 0) returns.
+
+    The bound is patched where the one search loop reads it, and the patch
+    must be read once per query, or the comparison would be vacuous.
+    """
+    import repro.core.search as core_search
 
     w = default_world
     t_q = w.settings.t_q
     with_bound = [gtg_search(w.model, GlobalEstimator(w.model), i.ps, i.pt, t_q, FPQ) for i in w.instances]
-    monkeypatch.setattr(gtg, "lower_bounds", lambda model, pt, qt: lower_bounds(model, pt, LCPQ))
+    calls = []
+
+    def no_bound(model, graph, pt, qt):
+        calls.append(qt)
+        return lower_bounds(model, graph, pt, LCPQ)
+
+    monkeypatch.setattr(core_search, "lower_bounds", no_bound)
     without = [gtg_search(w.model, GlobalEstimator(w.model), i.ps, i.pt, t_q, FPQ) for i in w.instances]
+    assert calls == [FPQ] * len(w.instances)
     assert with_bound == without
+
+
+class _Tagging:
+    """Tags each ``population()`` lookup with the number of heap pops so far,
+    i.e. with the state being expanded."""
+
+    def __init__(self, inner, pops):
+        self.inner, self.pops, self.seen = inner, pops, []
+
+    def population(self, v, tick):
+        self.seen.append((self.pops[0], v))
+        return self.inner.population(v, tick)
+
+
+def test_one_lookup_per_expanded_state_and_partition(default_world, monkeypatch):
+    """Eq. 2's factors are looked up once per expanded state and partition
+    passed — not once per relaxed edge, as GTG's own loop once did."""
+    pops = [0]
+    heappop = heapq.heappop
+
+    def counting_heappop(heap):
+        pops[0] += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", counting_heappop)
+    w = default_world
+    for inst in w.instances:
+        for qt in (FPQ, LCPQ):
+            for run in (gtg_search, search):
+                est = _Tagging(GlobalEstimator(w.model), pops)
+                assert run(w.model, est, inst.ps, inst.pt, w.settings.t_q, qt) is not None
+                assert est.seen and len(set(est.seen)) == len(est.seen), (run.__name__, qt)
 
 
 def test_fpq_bound_halves_lookups(default_world):
