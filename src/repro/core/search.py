@@ -99,22 +99,6 @@ def segment_cost(
     return passing_costs(dist, model.speed, rho, pop, dens, sc.is_q[v])
 
 
-def _leg(stair: float, a: int, a_xyz, b: int, b_xyz) -> float:
-    """Eq. 1: walking length from door (or point) ``a`` to ``b`` in one partition.
-
-    Same door → 0; a stairway leg that touches a door → the stairway's
-    walking length; otherwise the straight line (partitions are convex), as
-    for the direct ``p_s → p_t`` leg.  Points pass negative ids.
-    """
-    if a == b:
-        return 0.0
-    if stair > 0.0 and (a >= 0 or b >= 0):
-        return stair
-    return math.sqrt(
-        (a_xyz[0] - b_xyz[0]) ** 2 + (a_xyz[1] - b_xyz[1]) ** 2 + (a_xyz[2] - b_xyz[2]) ** 2
-    )
-
-
 class StateGraph:
     """The graph ``label_search`` walks.
 
@@ -183,6 +167,22 @@ def lower_bounds(
     return [*(d * (2.0 / model.speed)).tolist(), 0.0, 0.0], [*d.tolist(), 0.0, 0.0]
 
 
+def _leg(stair: float, a: int, a_xyz, b: int, b_xyz) -> float:
+    """Eq. 1: walking length from door (or point) ``a`` to ``b`` in one partition.
+
+    Same door → 0; a stairway leg that touches a door → the stairway's
+    walking length; otherwise the straight line (partitions are convex), as
+    for the direct ``p_s → p_t`` leg.  Points pass negative ids.
+    """
+    if a == b:
+        return 0.0
+    if stair > 0.0 and (a >= 0 or b >= 0):
+        return stair
+    return math.sqrt(
+        (a_xyz[0] - b_xyz[0]) ** 2 + (a_xyz[1] - b_xyz[1]) ** 2 + (a_xyz[2] - b_xyz[2]) ** 2
+    )
+
+
 def _source_legs(sc: _SearchCache, graph: StateGraph, ps: IndoorPoint) -> list:
     """The legs from ``p_s`` to every state leaving its host partition."""
     v, door, coords = ps.partition, graph.door, sc.coords
@@ -239,7 +239,8 @@ def label_search(
     h_time, h_dist = lower_bounds(model, graph, pt, qt)
 
     # this query's legs: p_s out of its host, and into p_t from the states
-    # entering its host (Alg. 3 l.19-20), each beside that partition's legs
+    # entering its host (Alg. 3 l.19-20).  A leg to p_t joins the other legs
+    # through p_t's host, so that partition's factors are looked up once.
     pt_part, pt_stair = pt.partition, sc.stair[pt.partition]
     legs: dict[int, list] = {}
     for s in graph.enter[pt_part]:
