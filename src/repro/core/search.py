@@ -245,9 +245,9 @@ def label_search(
     legs: dict[int, list] = {}
     for s in graph.enter[pt_part]:
         to_pt = (_TARGET, pt_part, _leg(pt_stair, door[s], sc.coords[door[s]], _TARGET, pt.xyz))
-        out = succ[s]
-        i = next((j for j, x in enumerate(out) if x[1] == pt_part), len(out))
-        legs[s] = [*out[:i], to_pt, *out[i:]]
+        out_s = succ[s]
+        i = next((j for j, x in enumerate(out_s) if x[1] == pt_part), len(out_s))
+        legs[s] = [*out_s[:i], to_pt, *out_s[i:]]
     if origin == _SOURCE:
         legs[_SOURCE] = _source_legs(sc, graph, ps)
         if ps.partition == pt_part:
