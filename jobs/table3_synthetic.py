@@ -22,7 +22,7 @@ from pyspark.sql import SparkSession
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
 
-from repro.dataflow.batch import aggregate_table, run_batch
+from repro.dataflow.batch import aggregate_table, config_line, run_batch
 from repro.experiments.params import FLOORS, OBJECTS, S2T, TI, Settings
 from repro.experiments.tables import PAPER_TABLE3, render_table, rows_to_dict
 from repro.experiments.world import build_synthetic_world
@@ -39,6 +39,7 @@ def main() -> None:
         .getOrCreate()
     )
     spark.sparkContext.setLogLevel("ERROR")
+    print(config_line(spark, "table3", Settings(n_instances=args.instances)), flush=True)
 
     if args.sweep:
         axis = {

@@ -21,7 +21,7 @@ from pyspark.sql import SparkSession
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
 
-from repro.dataflow.batch import aggregate_table, run_batch
+from repro.dataflow.batch import aggregate_table, config_line, run_batch
 from repro.experiments.params import Settings
 from repro.experiments.tables import PAPER_TABLE4, render_table, rows_to_dict
 from repro.experiments.world import build_mall_world
@@ -38,6 +38,7 @@ def main() -> None:
     )
     spark.sparkContext.setLogLevel("ERROR")
     settings = Settings(n_instances=args.instances)
+    print(config_line(spark, "table4", settings), flush=True)
     world = build_mall_world(settings, spark)
     agg = aggregate_table(run_batch(spark, world))
     print(

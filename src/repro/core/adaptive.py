@@ -26,14 +26,19 @@ from repro.space.geometry import IndoorPoint
 
 
 class FrozenEstimator:
-    """Populations pinned at one observation tick (no future derivation)."""
+    """Populations pinned at one observation tick (no future derivation).
+
+    The observed row (clamped into the table) is lowered to a list of
+    Python floats once per re-plan, so a lookup is a list index rather than
+    a NumPy scalar read; the values are the table's, bit for bit.
+    """
 
     def __init__(self, table: np.ndarray, tick: int):
-        self.table = table
         self.tick = min(max(tick, 0), len(table) - 1)
+        self.row = np.asarray(table[self.tick], dtype=float).tolist()
 
     def population(self, v: int, tick: int) -> float:  # tick ignored: frozen
-        return float(self.table[self.tick, v])
+        return self.row[v]
 
 
 def adaptive_search(

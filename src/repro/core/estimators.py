@@ -41,19 +41,25 @@ from repro.core.model import IndoorCrowdModel
 def eq6_step(model: IndoorCrowdModel, prev: np.ndarray, x: int) -> np.ndarray:
     """One tick of Eq. 6: ``P[x] = P[x-1] − out(x) + in(x)``.
 
-    Only the edges reporting at ``x`` carry flow.  When no partition ships
-    more than it holds, ``out``/``in`` are the model's tabulated sums for
-    ``x``; otherwise Figure 4 rectification scales each partition's outflows
-    to its population ``prev`` and the inflows are summed again over the
-    reporting edges.
+    Only the edges reporting at ``x`` with λ > 0 carry flow.  When no
+    partition ships more than it holds (``stay = P − out ≥ 0`` everywhere;
+    the sign of a float difference is exact, so this is ``out ≤ P``),
+    ``out``/``in`` are the model's tabulated sums for ``x``.  Otherwise
+    Figure 4 rectification scales each partition's outflows to its
+    population and the inflows are summed again over the listed edges, each
+    weighted by ``held / max(out[src], held)`` with ``held = P[src]``: 1
+    where the source holds enough, else the source's ``P / out``.  Every
+    listed source ships ``out[src] > 0``, so the divide needs no guard, and
+    ``max(stay, 0)`` is ``P − min(out, P)``: both branches give the bits of
+    the plain transcription.
     """
     src, dst, lam, out, inf = model.flow_table(x)
-    over = out > prev
-    if not over.any():
-        return prev - out + inf
-    scale = np.divide(prev, out, out=np.ones_like(prev), where=over)
-    inf = np.bincount(dst, weights=lam * scale[src], minlength=len(prev))
-    return prev - np.minimum(out, prev) + inf
+    stay = prev - out
+    if stay.min() >= 0.0:
+        return stay + inf
+    held = prev[src]
+    inf = np.bincount(dst, weights=lam * (held / np.maximum(out[src], held)), minlength=len(prev))
+    return np.maximum(stay, 0.0) + inf
 
 
 def pp_step(model: IndoorCrowdModel, prev: np.ndarray, x: int) -> np.ndarray:

@@ -23,6 +23,8 @@ from per-partition prefix sums over one hyperperiod.  Eq. 6's λ-dependent
 inputs are tabulated per residue too (``flow_table``), once for every
 estimator that steps Eq. 6 (Global, which Local aliases, and PP): they are
 rebuilt whenever λ is installed, by ``__post_init__`` or ``set_lambdas``.
+They list only the reporting edges that carry flow (λ > 0): on the mall
+1,784 of 3,226 edges have λ = 0, and a zero weight changes no bit of a sum.
 """
 from __future__ import annotations
 
@@ -68,7 +70,7 @@ class IndoorCrowdModel:
     part_updates: np.ndarray | None = field(default=None, repr=False)   # bool[L,P]
     update_prefix: list = field(default_factory=list, repr=False)  # [P][L+1] ints
     # --- Eq. 6 inputs per residue, from λ (built in set_lambdas) ---------
-    flow_tables: list = field(default_factory=list, repr=False)  # [L] (src, dst, λ, out, in)
+    flow_tables: list = field(default_factory=list, repr=False)  # [L] (src, dst, λ, out, in), λ > 0
     # --- objects other modules derive from the topology, keyed by module --
     derived: dict = field(default_factory=dict, repr=False)
 
@@ -108,15 +110,25 @@ class IndoorCrowdModel:
     def set_lambdas(self, e_lam: np.ndarray) -> None:
         """Install the edges' flow means λ and tabulate Eq. 6's inputs from them.
 
-        ``flow_tables[r]``: residue ``r``'s reporting edges' ``src``,
-        ``dst`` and ``λ`` in edge order, and their per-partition sums
-        ``out``/``in`` — the ``bincount``s of Eq. 6 when nothing rectifies,
-        and Strategy PP's raw-λ flows on every tick.
+        ``flow_tables[r]``: ``src``, ``dst`` and ``λ`` of residue ``r``'s
+        reporting edges that carry flow (λ > 0), in edge order, and their
+        per-partition sums ``out``/``in`` — the ``bincount``s of Eq. 6 when
+        nothing rectifies, and Strategy PP's raw-λ flows on every tick.  A
+        λ = 0 edge would add +0.0 to sums that start at +0.0, so leaving it
+        out changes no bit of ``out``, ``in`` or a rectified inflow; it also
+        makes every listed edge's source ship ``out[src] > 0``, which
+        ``eq6_step`` divides by.  ``edge_reports`` keeps every reporting
+        edge: NT's update ticks and ``simulate`` count doors whose λ is 0.
+
+        λ is a Poisson mean: a negative or non-finite one raises ``ValueError``.
         """
-        self.e_lam = e_lam = np.asarray(e_lam, dtype=float)
+        e_lam = np.asarray(e_lam, dtype=float)
+        if not np.all(np.isfinite(e_lam) & (e_lam >= 0.0)):
+            raise ValueError("edge flow means λ must be finite and >= 0")
+        self.e_lam = e_lam
         p = self.n_partitions
         self.flow_tables = []
-        for rep in self.edge_reports:
+        for rep in self.edge_reports & (e_lam > 0.0):
             src, dst, lam = self.e_src[rep], self.e_dst[rep], e_lam[rep]
             out = np.bincount(src, weights=lam, minlength=p)
             inf = np.bincount(dst, weights=lam, minlength=p)
@@ -146,7 +158,7 @@ class IndoorCrowdModel:
         return self.edge_reports[x % self.hyperperiod]
 
     def flow_table(self, x: int) -> tuple:
-        """Eq. 6's inputs at tick ``x``: ``(src, dst, λ, out, in)`` of its reporting edges."""
+        """Eq. 6's inputs at tick ``x``: ``(src, dst, λ, out, in)`` of its reporting edges with λ > 0."""
         return self.flow_tables[x % self.hyperperiod]
 
     def update_count(self, v: int, lo: int, hi: int) -> int:

@@ -235,44 +235,49 @@ def label_search(
     speed = model.speed
     population = estimator.population
     area, dmax, is_q = sc.area, sc.dmax, sc.is_q
-    succ, door = graph.succ, graph.door
+    door = graph.door
     h_time, h_dist = lower_bounds(model, graph, pt, qt)
+    heappop, heappush = heapq.heappop, heapq.heappush
 
-    # this query's legs: p_s out of its host, and into p_t from the states
+    # Per-state lists, indexed by state id; the last two slots serve
+    # _TARGET and _SOURCE (ids -2 and -1).  ``adj`` is this query's copy of
+    # the successor lists: p_s out of its host, and into p_t from the states
     # entering its host (Alg. 3 l.19-20).  A leg to p_t joins the other legs
     # through p_t's host, so that partition's factors are looked up once.
+    n = len(door) + 2
+    adj = [*graph.succ, [], []]
     pt_part, pt_stair = pt.partition, sc.stair[pt.partition]
-    legs: dict[int, list] = {}
     for s in graph.enter[pt_part]:
         to_pt = (_TARGET, pt_part, _leg(pt_stair, door[s], sc.coords[door[s]], _TARGET, pt.xyz))
-        out_s = succ[s]
+        out_s = graph.succ[s]
         i = next((j for j, x in enumerate(out_s) if x[1] == pt_part), len(out_s))
-        legs[s] = [*out_s[:i], to_pt, *out_s[i:]]
+        adj[s] = [*out_s[:i], to_pt, *out_s[i:]]
     if origin == _SOURCE:
-        legs[_SOURCE] = _source_legs(sc, graph, ps)
+        adj[_SOURCE] = _source_legs(sc, graph, ps)
         if ps.partition == pt_part:
-            legs[_SOURCE].insert(0, (_TARGET, pt_part, _leg(pt_stair, _SOURCE, ps.xyz, _TARGET, pt.xyz)))
+            adj[_SOURCE].insert(0, (_TARGET, pt_part, _leg(pt_stair, _SOURCE, ps.xyz, _TARGET, pt.xyz)))
 
-    best: dict[int, tuple[float, float, int]] = {origin: (0.0, 0.0, 0)}
-    prev: dict[int, tuple[int, int]] = {}  # state -> (predecessor, partition passed)
-    heap: list[tuple] = [((0.0, 0.0, 0), origin, best[origin], 0.0, 0.0, 0.0)]
-    done: set[int] = set()
+    best: list = [None] * n  # state -> best label (cost, distance, doors)
+    prev: list = [None] * n  # state -> (predecessor, partition passed)
+    done = [False] * n
+    best[origin] = (0.0, 0.0, 0)
+    # (priority, distance priority, doors, state, label, distance, time, contact)
+    heap: list[tuple] = [(0.0, 0.0, 0, origin, best[origin], 0.0, 0.0, 0.0)]
     while heap:
-        _, state, k, dist_c, time_c, contact_c = heapq.heappop(heap)
-        if state in done or k != best[state]:
-            continue  # closed, or since improved on: the entry is stale
-        done.add(state)
+        _, _, hops, state, k, dist_c, time_c, contact_c = heappop(heap)
+        if k is not best[state]:
+            continue  # since improved on, or closed: the entry is stale
+        done[state] = True
         if state == _TARGET:
             return _path(graph, origin, prev, dist_c, time_c, contact_c)
         tick = int((t_q + time_c) // ti)
         if tick > max_tick:
             tick = max_tick
-        hops = k[2] + 1
+        hops += 1
         fv = -1
-        out = legs.get(state)
         # expand to every unvisited successor (Alg. 3 l.21-22)
-        for nxt, v, seg in succ[state] if out is None else out:
-            if nxt in done:
+        for nxt, v, seg in adj[state]:
+            if done[nxt]:
                 continue
             if v != fv:  # population-dependent factors of v (Alg. 4 Cost)
                 fv, q = v, is_q[v]
@@ -282,19 +287,18 @@ def label_search(
             nc1 = time_c + dt
             nc2 = contact_c + dk
             nk = (nc1, nc0, hops) if fpq else (nc2, nc0, hops)
-            old = best.get(nxt)
+            old = best[nxt]
             if old is None or nk < old:
                 best[nxt] = nk
                 prev[nxt] = (state, v)
-                pk = (nk[0] + h_time[nxt], nc0 + h_dist[nxt], hops)
-                heapq.heappush(heap, (pk, nxt, nk, nc0, nc1, nc2))
+                heappush(heap, (nk[0] + h_time[nxt], nc0 + h_dist[nxt], hops, nxt, nk, nc0, nc1, nc2))
             elif nk == old and (k, state) < (best[prev[nxt][0]], prev[nxt][0]):
                 prev[nxt] = (state, v)
     return None
 
 
 def _path(
-    graph: StateGraph, origin: int, prev: dict, dist: float, time: float, contact: float
+    graph: StateGraph, origin: int, prev: list, dist: float, time: float, contact: float
 ) -> PathResult:
     """Follow ``prev`` back from ``p_t``: the doors of the states and the partitions passed."""
     doors: list[int] = []

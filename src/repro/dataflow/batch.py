@@ -17,12 +17,24 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.experiments.harness import ALGORITHMS, QueryMeasure, measure_tasks
+from repro.experiments.params import Settings
 from repro.experiments.world import World
 
 # One row per QueryMeasure; Spark types for its field annotations.
 _SPARK_TYPES = {"str": "string", "int": "long", "float": "double", "bool": "boolean"}
 _COLUMNS = [f.name for f in fields(QueryMeasure)]
 _SCHEMA = ", ".join(f"{f.name} {_SPARK_TYPES[f.type]}" for f in fields(QueryMeasure))
+
+
+def config_line(spark: SparkSession, job: str, settings: Settings) -> str:
+    """One line that says how a job run is configured: where Spark runs,
+    how wide, with how much driver memory, and on which query instances."""
+    sc = spark.sparkContext
+    return (
+        f"[{job}] master={sc.master} defaultParallelism={sc.defaultParallelism} "
+        f"driverMemory={sc.getConf().get('spark.driver.memory', '1g')} "
+        f"instances={settings.n_instances} query_seed={settings.query_seed}"
+    )
 
 
 def run_batch(

@@ -4,7 +4,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.search import FPQ
-from repro.dataflow.batch import aggregate_table, run_batch
+from repro.dataflow.batch import aggregate_table, config_line, run_batch
+from repro.experiments.params import Settings
 from repro.experiments.tables import rows_to_dict
 from repro.oracle import assert_equivalent
 from tests.conftest import table_rows
@@ -76,3 +77,18 @@ def test_instances_partitioned_not_duplicated(measures, tiny_world):
         .toPandas()
     )
     assert (per["n"] == len(tiny_world.instances)).all()
+
+
+def test_config_line_names_the_run(spark):
+    """The jobs' first line: master, parallelism, driver memory, instances, seed."""
+    line = config_line(spark, "table3", Settings(n_instances=7))
+    sc = spark.sparkContext
+    assert line.startswith("[table3] ") and "\n" not in line
+    for part in (
+        f"master={sc.master}",
+        f"defaultParallelism={sc.defaultParallelism}",
+        "driverMemory=",
+        "instances=7",
+        "query_seed=17",
+    ):
+        assert part in line, part

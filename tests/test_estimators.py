@@ -16,7 +16,8 @@ from repro.core.estimators import (
 from repro.core.search import FPQ, LCPQ, search
 from repro.experiments.harness import model_tq
 from repro.sim.microsim import install_snapshot, simulate
-from tests.conftest import make_tiny_space
+from repro.space.mall import mall_space
+from tests.conftest import make_tiny_space, sparse_lambdas
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,42 @@ def test_global_matches_reference_while_rectifying(drained):
     le = LocalEstimator(m)
     for v in range(m.n_partitions):
         assert le.population(v, 40) == est.population(v, 40)
+
+
+@pytest.fixture(scope="module")
+def mall_regime():
+    """The mall topology in the fitted mall's regime, built without Spark:
+    λ = 0 on a seeded half of the edges, a third of the partitions empty at
+    the snapshot, and one partition holding exactly what it ships at the
+    first tick (a ``P == out`` tie).  Most ticks rectify somewhere."""
+    m = mall_space(horizon_ticks=90).model
+    m.set_lambdas(sparse_lambdas(m, seed=8))
+    rng = np.random.default_rng(9)
+    pop = rng.integers(0, 6, m.n_partitions).astype(float)
+    pop[rng.random(m.n_partitions) < 1 / 3] = 0.0
+    out = m.flow_table(1)[3]
+    v = int(np.flatnonzero(out % 1 > 0)[0])
+    pop[v] = out[v]
+    m.set_snapshot(0, pop)
+    return m
+
+
+def test_mall_regime_matches_references(mall_regime):
+    """Global and PP equal their straight-line references bit for bit on
+    every tick, where zero-λ edges, empty partitions and a tie meet
+    rectification on nearly every tick."""
+    m, last = mall_regime, 70
+    assert (m.flow_table(1)[3] == m.pop_l).any()
+    ge, pp = GlobalEstimator(m), PPEstimator(m)
+    ge.ensure(last)
+    rectifying = [bool((m.flow_table(x)[3] > ge.pops[x - 1]).any()) for x in range(1, last + 1)]
+    assert sum(rectifying) >= 0.9 * last
+    for x in range(1, last + 1):
+        assert np.isfinite(ge.pops[x]).all()
+        assert ge.pops[x].tobytes() == _reference_global(m, x).tobytes(), x
+    for v in range(m.n_partitions):
+        assert [pp.population(v, t) for t in range(1, last + 1)] == _reference_pp(m, v, last)
+    assert all(np.isfinite(p).all() for p in pp.pops)
 
 
 @pytest.mark.parametrize("tick", [11, 20, 45, 70])

@@ -142,6 +142,70 @@ def test_flow_tables_follow_lambda_change():
         assert np.array_equal(inf, np.bincount(m.e_dst, weights=flow, minlength=P))
 
 
+def test_flow_tables_skip_zero_flow_edges(tiny_space):
+    """Eq. 6's tables list only the reporting edges with λ > 0; their sums
+    are bit-equal to sums over every reporting edge, and the schedule that
+    NT and ``simulate`` read still holds the λ = 0 edges."""
+    from tests.conftest import sparse_lambdas
+
+    m = dataclasses.replace(tiny_space.model)
+    P, L = m.n_partitions, m.hyperperiod
+    reports = m.edge_reports.copy()
+    counts = [m.update_count(v, 3, 3 + 2 * L) for v in range(P)]
+    lam = sparse_lambdas(m, seed=7)
+    m.set_lambdas(lam)
+    skipped = 0
+    for x in range(L):
+        rep = m.reports(x)
+        assert np.array_equal(rep, reports[x])
+        keep = np.flatnonzero(rep & (lam > 0))
+        skipped += int(rep.sum()) - len(keep)
+        src, dst, got, out, inf = m.flow_table(x)
+        assert np.array_equal(src, m.e_src[keep]) and np.array_equal(dst, m.e_dst[keep])
+        assert np.array_equal(got, lam[keep])
+        every_out = np.bincount(m.e_src[rep], weights=lam[rep], minlength=P)
+        every_in = np.bincount(m.e_dst[rep], weights=lam[rep], minlength=P)
+        assert out.tobytes() == every_out.tobytes() and inf.tobytes() == every_in.tobytes()
+    assert skipped > 0
+    assert counts == [m.update_count(v, 3, 3 + 2 * L) for v in range(P)]
+
+
+@pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+def test_negative_or_nonfinite_lambda_rejected(tiny_space, bad):
+    """λ is a Poisson mean: finite and >= 0, or the model refuses it."""
+    m = dataclasses.replace(tiny_space.model)
+    before = m.e_lam
+    lam = before.copy()
+    lam[3] = bad
+    with pytest.raises(ValueError, match="λ"):
+        m.set_lambdas(lam)
+    assert m.e_lam is before
+    with pytest.raises(ValueError, match="λ"):
+        dataclasses.replace(m, e_lam=lam)
+
+
+@pytest.mark.parametrize("world", ["tiny", "default", "mall"])
+def test_listed_sources_ship_flow(tiny_space, default_world, world):
+    """``eq6_step`` divides by ``out[src]`` unguarded: every edge a flow
+    table lists leaves a partition that ships more than 0 at that residue."""
+    if world == "tiny":
+        m = tiny_space.model
+    elif world == "default":
+        m = default_world.model
+    else:
+        from repro.space.mall import mall_space
+        from tests.conftest import sparse_lambdas
+
+        m = mall_space(horizon_ticks=120).model
+        m.set_lambdas(sparse_lambdas(m, seed=8))
+    listed = 0
+    for x in range(m.hyperperiod):
+        src, _, lam, out, _ = m.flow_table(x)
+        assert (lam > 0).all() and (out[src] > 0).all()
+        listed += len(src)
+    assert listed > 0
+
+
 @pytest.mark.parametrize("period", [0, 6])
 def test_door_period_outside_paper_range_rejected(tiny_space, period):
     m = tiny_space.model
