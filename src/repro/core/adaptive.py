@@ -34,8 +34,7 @@ class FrozenEstimator:
     """
 
     def __init__(self, table: np.ndarray, tick: int):
-        self.tick = min(max(tick, 0), len(table) - 1)
-        self.row = np.asarray(table[self.tick], dtype=float).tolist()
+        self.row = np.asarray(table[min(max(tick, 0), len(table) - 1)], dtype=float).tolist()
 
     def population(self, v: int, tick: int) -> float:  # tick ignored: frozen
         return self.row[v]

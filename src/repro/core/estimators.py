@@ -21,10 +21,13 @@ populations ``(P_tl, t_l)`` — and differ in how rigidly they evolve Eq. 6
 * ``GoldEstimator`` — ground-truth lookup into a simulated population table;
   used to produce the paper's gold-standard paths and costs.
 
-Eq. 6's inputs at tick ``x`` — the reporting edges and their summed
-``out(x)``/``in(x)`` — are tabulated on the model per schedule residue
-(``model.flow_table``), so a tick costs the work of its reporting edges;
-Global (and so Local) and PP both step on them.  NT counts update ticks with
+Eq. 6's inputs at tick ``x`` — the reporting edges that carry flow
+(λ > 0) and their summed ``out(x)``/``in(x)`` — are tabulated on the model
+per schedule residue (``model.flow_table``), so a tick costs the work of
+those edges; a λ = 0 edge would add +0.0 to every sum it joins.  Global
+(and so Local) and PP both step on them.  ``eq6_step`` keeps two branches,
+a clean tick and a rectifying one, and each gives the bits of the plain
+full-width transcription (its docstring states why).  NT counts update ticks with
 ``model.update_count`` (Eq. 7).
 
 A fresh estimator is created per query (the paper's per-query measurement
