@@ -17,7 +17,10 @@ populations ``(P_tl, t_l)`` — and differ in how rigidly they evolve Eq. 6
   ``eq6_step`` without the inflow re-sum.
 * ``NTEstimator`` — Strategy NT (layered on PP): when the partition's
   historical net flow is stable (σ < η), skip the tick-by-tick derivation and
-  extrapolate ``P(t^a) = P(t_l) + μ · #skipped-updates`` (Eq. 7).
+  extrapolate ``P(t^a) = P(t_l) + μ · #skipped-updates`` (Eq. 7).  Its
+  ``(μ, σ)`` are snapshot data: ``set_snapshot`` reduces the flow history
+  ``F[t]`` to them once (``model.flow_stats``) and keeps no raw history,
+  since NT is its only reader.
 * ``GoldEstimator`` — ground-truth lookup into a simulated population table;
   used to produce the paper's gold-standard paths and costs.
 
@@ -136,24 +139,7 @@ class NTEstimator:
         self.eta = eta
         self.pp = PPEstimator(model)
         self._pop = model.pop_l.tolist()
-        self._stats = self._compute_all_stats()
-
-    def _compute_all_stats(self) -> list[tuple[float, float]]:
-        """(μ, σ) of historical net flows, for every partition at once.
-
-        Partition ``v``'s update ticks in the history window are its schedule
-        column at ``hist_ticks mod L``: μ/σ are masked column reductions of
-        ``hist_diff``.  A partition with no update tick there is never stable.
-        """
-        m = self.model
-        if m.hist_diff is None or m.hist_ticks is None or len(m.hist_ticks) == 0:
-            return [(0.0, float("inf"))] * m.n_partitions
-        masks = m.part_updates[m.hist_ticks % m.hyperperiod]
-        seen = masks.any(axis=0)
-        masks |= ~seen  # reduce unseen columns over every row, then discard them
-        mu = np.where(seen, m.hist_diff.mean(axis=0, where=masks), 0.0)
-        sigma = np.where(seen, m.hist_diff.std(axis=0, where=masks), np.inf)
-        return list(zip(mu.tolist(), sigma.tolist()))
+        self._stats = model.flow_stats
 
     def stats(self, v: int) -> tuple[float, float]:
         """(μ, σ) of the partition's historical net flow at its update ticks."""

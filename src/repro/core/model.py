@@ -25,6 +25,11 @@ estimator that steps Eq. 6 (Global, which Local aliases, and PP): they are
 rebuilt whenever λ is installed, by ``__post_init__`` or ``set_lambdas``.
 They list only the reporting edges that carry flow (λ > 0): on the mall
 1,784 of 3,226 edges have λ = 0, and a zero weight changes no bit of a sum.
+
+The snapshot keeps Strategy NT's reduction of the flow arrays ``F[t]``,
+not ``F[t]`` itself: NT is their only reader, and its per-partition
+``(μ, σ)`` depend on the snapshot alone, so ``set_snapshot`` reduces the
+history once, beside the schedule rows that mask it (``flow_stats``).
 """
 from __future__ import annotations
 
@@ -57,8 +62,7 @@ class IndoorCrowdModel:
     # --- snapshot: latest counter-reported state (set via set_snapshot) --
     tick_l: int = 0           # latest update tick t_l
     pop_l: np.ndarray | None = None      # float[P] — P_tl
-    hist_diff: np.ndarray | None = None  # float[W,P] — in−out per past tick
-    hist_ticks: np.ndarray | None = None  # int[W] — the past ticks themselves
+    flow_stats: list = field(default_factory=list, repr=False)  # [P] (μ, σ) of F[t], for NT
     speed: float = 1.2        # average moving speed s̄ (m/s)
     # --- derived adjacency (built in __post_init__) ----------------------
     out_edges: list = field(default_factory=list, repr=False)
@@ -79,14 +83,13 @@ class IndoorCrowdModel:
             raise ValueError("door report periods must lie in 1..5 ticks")
         self.derived = {}
         p = self.n_partitions
-        self.out_edges = [np.empty(0, dtype=np.int64) for _ in range(p)]
-        self.in_edges = [np.empty(0, dtype=np.int64) for _ in range(p)]
-        order = np.argsort(self.e_src, kind="stable")
-        for v, grp in _group_indices(self.e_src, order):
-            self.out_edges[v] = grp
-        order = np.argsort(self.e_dst, kind="stable")
-        for v, grp in _group_indices(self.e_dst, order):
-            self.in_edges[v] = grp
+
+        def edges_by(keys: np.ndarray) -> list[np.ndarray]:
+            """Edge ids per partition, ascending: a stable sort split at each key."""
+            order = np.argsort(keys, kind="stable")
+            return np.split(order, np.searchsorted(keys[order], np.arange(1, p)))
+
+        self.out_edges, self.in_edges = edges_by(self.e_src), edges_by(self.e_dst)
         # D_v: doors one can leave or enter v through (P2D⊐(v) ∪ P2D⊏(v))
         self.part_doors = [
             np.union1d(self.e_door[self.out_edges[v]], self.e_door[self.in_edges[v]])
@@ -147,11 +150,6 @@ class IndoorCrowdModel:
     def n_edges(self) -> int:
         return len(self.e_src)
 
-    # -- topology helpers -------------------------------------------------
-    def partition_doors(self, v: int) -> np.ndarray:
-        """``v``'s doors, ascending: built once in ``__post_init__``."""
-        return self.part_doors[v]
-
     # -- reporting schedule (Eq. 6, Eq. 7) -----------------------------------
     def reports(self, x: int) -> np.ndarray:
         """Mask of the edges whose door reports at tick ``x``."""
@@ -178,20 +176,21 @@ class IndoorCrowdModel:
 
         ``hist_diff[w, v]`` is partition ``v``'s actual net flow (inflow −
         outflow) at past tick ``hist_ticks[w]`` — the local arrays ``F[t]``
-        the paper keeps on edges, aggregated per partition, which Strategy NT
-        uses to judge flow stability.
+        the paper keeps on edges, aggregated per partition.  The model keeps
+        only Strategy NT's reduction of them: ``flow_stats[v]``, the
+        ``(μ, σ)`` of ``v``'s net flow at its update ticks in the window,
+        i.e. its schedule column at ``hist_ticks mod L``.  These are masked
+        column reductions of ``hist_diff``.  A partition with no update tick
+        there (or no history at all) reads ``(0.0, inf)``: never stable.
         """
         self.tick_l = int(tick_l)
         self.pop_l = np.asarray(pop_l, dtype=float).copy()
-        self.hist_diff = hist_diff
-        self.hist_ticks = hist_ticks
-
-
-def _group_indices(keys: np.ndarray, order: np.ndarray):
-    """Yield ``(key, indices)`` for each distinct key, given a sort order."""
-    sorted_keys = keys[order]
-    bounds = np.flatnonzero(np.diff(sorted_keys)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(sorted_keys)]))
-    for s, e in zip(starts, ends):
-        yield int(sorted_keys[s]), order[s:e]
+        if hist_diff is None or hist_ticks is None or len(hist_ticks) == 0:
+            self.flow_stats = [(0.0, math.inf)] * self.n_partitions
+            return
+        masks = self.part_updates[hist_ticks % self.hyperperiod]
+        seen = masks.any(axis=0)
+        masks |= ~seen  # reduce unseen columns over every row, then discard them
+        mu = np.where(seen, hist_diff.mean(axis=0, where=masks), 0.0)
+        sigma = np.where(seen, hist_diff.std(axis=0, where=masks), np.inf)
+        self.flow_stats = list(zip(mu.tolist(), sigma.tolist()))

@@ -74,7 +74,7 @@ class _FlowGraph:
         ]
         cent = []
         for v in range(model.n_partitions):
-            doors = model.partition_doors(v)
+            doors = model.part_doors[v]
             cent.append(model.door_xyz[doors].mean(axis=0) if len(doors) else np.zeros(3))
         self.centroid = [tuple(float(x) for x in c) for c in cent]
         self.seg: dict[tuple[int, int], tuple[int, float]] = {}

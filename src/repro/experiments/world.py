@@ -91,17 +91,10 @@ def build_mall_world(
     # Symmetrize each door's two directions: mall doors are bidirectional
     # with balanced traffic, and averaging the directions cancels the
     # sampling noise of the sparse fixes — otherwise the fitted flows carry
-    # a spurious per-partition drift that drains/overfills rooms.
-    m = bs.model
-    rev = {}
-    by_key = {
-        (int(m.e_src[e]), int(m.e_dst[e]), int(m.e_door[e])): e
-        for e in range(m.n_edges)
-    }
-    for e in range(m.n_edges):
-        r = by_key.get((int(m.e_dst[e]), int(m.e_src[e]), int(m.e_door[e])))
-        rev[e] = r if r is not None else e
-    lam = np.array([(lam[e] + lam[rev[e]]) / 2.0 for e in range(m.n_edges)])
+    # a spurious per-partition drift that drains/overfills rooms.  A door
+    # carries one or two edges, so its mean is (λ + λ_reverse) / 2 or λ.
+    e_door = bs.model.e_door
+    lam = (np.bincount(e_door, weights=lam) / np.bincount(e_door))[e_door]
     bs.model.set_lambdas(lam)
     # Gold standard: as in the paper, accuracy on real data is judged against
     # *simulated trajectories* of the constructed crowd model — we run the

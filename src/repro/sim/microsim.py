@@ -132,9 +132,10 @@ def install_snapshot(
     """Install the counter-reported state at ``t_l`` into the model.
 
     ``pop``/``diff`` are ground-truth tables (microsim or trajectory world).
-    The model learns: the latest absolute populations ``(P_tl, t_l)`` and the
-    trailing ``window`` ticks of per-partition net flows (the edge-local
-    ``F[t]`` history Strategy NT consults).
+    The model learns the latest absolute populations ``(P_tl, t_l)`` and is
+    handed the trailing ``window`` ticks of per-partition net flows (the
+    edge-local ``F[t]`` history).  It keeps only Strategy NT's ``(μ, σ)``
+    reduction of them, not the rows: NT is their only reader.
     """
     lo = max(1, tick_l - window + 1)
     model.set_snapshot(

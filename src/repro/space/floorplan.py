@@ -32,6 +32,11 @@ import numpy as np
 from repro.core.model import IndoorCrowdModel
 from repro.core.timeline import Timeline
 
+FLOOR_HEIGHT = 5.0  # m between floors
+STAIR_LEN = 20.0    # m walked through a stairway (the paper's 20 m stairways)
+STAIR_AREA = 30.0   # m², a stairway partition's area
+BETA = 1.0          # fire capacity in objects per m² (cap = Area·β)
+
 
 @dataclass
 class BuiltSpace:
@@ -62,18 +67,13 @@ def build_space(
     stairs_per_gap: Sequence[int],
     floor_w: float = 1368.0,
     floor_h: float = 1368.0,
-    floor_height: float = 5.0,
-    stair_len: float = 20.0,
-    stair_area: float = 30.0,
     q_per_floor: int = 14,
     obj_max: int = 600,
     lam_max: float = 3.0,
     ti: float = 10.0,
     horizon_ticks: int = 620,
     period_max: int = 5,
-    beta: float = 1.0,
     one_way_frac: float = 0.0,
-    lam_symmetric: bool = True,
     seed: int = 7,
 ) -> BuiltSpace:
     """Build an indoor space with exactly the requested per-floor counts.
@@ -108,7 +108,7 @@ def build_space(
         n_doors = doors_per_floor[f]
         g = math.ceil(math.sqrt(n_parts))
         cw, ch = floor_w / g, floor_h / g
-        z = f * floor_height
+        z = f * FLOOR_HEIGHT
         kept = [(i // g, i % g) for i in range(n_parts)]  # row-major prefix
         pid = {}
         for (r, c) in kept:
@@ -190,15 +190,15 @@ def build_space(
             sv = len(areas)
             cw, ch = floor_w / g_lo, floor_h / g_lo
             cx, cy = (c + 0.5) * cw, (r + 0.5) * ch
-            areas.append(stair_area)
+            areas.append(STAIR_AREA)
             is_q.append(False)
-            stair.append(stair_len)
+            stair.append(STAIR_LEN)
             part_floor.append(f)
             part_rect.append((cx - 2, cy - 2, cx + 2, cy + 2))
-            part_z.append(f * floor_height + floor_height / 2)
+            part_z.append(f * FLOOR_HEIGHT + FLOOR_HEIGHT / 2)
             d_lo, d_hi = len(door_xyz), len(door_xyz) + 1
-            door_xyz.append((cx, cy, f * floor_height))
-            door_xyz.append((cx, cy, (f + 1) * floor_height))
+            door_xyz.append((cx, cy, f * FLOOR_HEIGHT))
+            door_xyz.append((cx, cy, (f + 1) * FLOOR_HEIGHT))
             for a, b, d in (
                 (pid_lo[(r, c)], sv, d_lo),
                 (sv, pid_lo[(r, c)], d_lo),
@@ -209,20 +209,18 @@ def build_space(
 
     n_doors_total = len(door_xyz)
     area_arr = np.asarray(areas)
-    cap = area_arr * beta
-    # Door-flow means.  With ``lam_symmetric`` both directions of a door
-    # share one λ, so every partition's expected inflow equals its expected
-    # outflow — populations hold their (heterogeneous) initial levels in
-    # expectation instead of draining/overfilling linearly.  This matches the
-    # paper's evaluation regime, where the gold simulation tracks the
-    # expected dynamics to ~1e-8 and Strategy PP is as accurate as the exact
-    # searches (rectification is the exception, not the rule).
+    cap = area_arr * BETA
+    # Door-flow means.  Both directions of a door share one λ, so every
+    # partition's expected inflow equals its expected outflow — populations
+    # hold their (heterogeneous) initial levels in expectation instead of
+    # draining/overfilling linearly.  This matches the paper's evaluation
+    # regime, where the gold simulation tracks the expected dynamics to ~1e-8
+    # and Strategy PP is as accurate as the exact searches (rectification is
+    # the exception, not the rule).  Independent λ per direction would give
+    # every partition a linear drift under which PP's raw-λ inflows diverge
+    # and "PP is as accurate as exact" is unreproducible (DESIGN §5).
     e_door_arr = np.asarray(e_door, dtype=np.int64)
-    if lam_symmetric:
-        door_lam = rng.uniform(0.0, lam_max, n_doors_total)
-        e_lam = door_lam[e_door_arr]
-    else:
-        e_lam = rng.uniform(0.0, lam_max, len(e_src))
+    e_lam = rng.uniform(0.0, lam_max, n_doors_total)[e_door_arr]
     model = IndoorCrowdModel(
         timeline=Timeline(ti=ti, horizon=horizon_ticks),
         area=area_arr,

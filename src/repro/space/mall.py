@@ -39,6 +39,16 @@ MALL_PARTITIONS = 977
 MALL_DOORS = 1613
 MALL_STAIRS = 10
 
+# Random-walk stays (s): walking through with probability WALK_PROB, else shopping.
+WALK_DWELL = 6.0
+SHOP_DWELL = 300.0
+WALK_PROB = 0.92
+# Positioning dropouts: independent per-fix losses, and signal-loss bursts
+# that start with BURST_PROB per fix and last BURST_FIXES fixes.
+DROP_PROB = 0.2
+BURST_PROB = 0.14
+BURST_FIXES = 10
+
 
 def mall_space(*, ti: float = 10.0, horizon_ticks: int = 900, seed: int = 11) -> BuiltSpace:
     """The mall topology: exact paper counts (977 / 1613 / 10 stairs)."""
@@ -82,7 +92,6 @@ class TrajectoryWorld:
 
     occupancy: np.ndarray      # int[H, P]
     fixes: pd.DataFrame        # mac, t, partition, x, y, z
-    true_edge_flows: np.ndarray  # float[H, M] actual per-tick edge crossings
 
 
 def simulate_trajectories(
@@ -91,24 +100,18 @@ def simulate_trajectories(
     n_objects: int = 1598,
     fix_interval: float = 10.0,
     session_ticks: int = 60,
-    drop_prob: float = 0.2,
-    burst_prob: float = 0.14,
-    burst_fixes: int = 10,
-    walk_dwell: float = 6.0,
-    shop_dwell: float = 300.0,
-    walk_prob: float = 0.92,
     seed: int = 13,
 ) -> TrajectoryWorld:
     """Random-walk world + sparse positioning fixes.
 
     Objects alternate two modes per stay — *walking through* (short
-    ``Exp(walk_dwell)`` stays, probability ``walk_prob``) and *shopping*
-    (long ``Exp(shop_dwell)`` stays) — then cross a uniformly chosen
+    ``Exp(WALK_DWELL)`` stays, probability ``WALK_PROB``) and *shopping*
+    (long ``Exp(SHOP_DWELL)`` stays) — then cross a uniformly chosen
     outgoing door.  Every object is "tracked" (a phone with Wi-Fi on) for
     one session of ``session_ticks`` fixes at ``fix_interval`` seconds.
     Two dropout mechanisms mimic real indoor positioning: independent
-    per-fix losses (``drop_prob``) and signal-loss *bursts* (``burst_prob``
-    per fix, lasting ``burst_fixes`` fixes).  Bursts that span a walking run
+    per-fix losses (``DROP_PROB``) and signal-loss *bursts* (``BURST_PROB``
+    per fix, lasting ``BURST_FIXES`` fixes).  Bursts that span a walking run
     hide several quick hops, which is what puts the share of consecutive
     fixes that are not topologically-connected at the paper's ~12%.
     """
@@ -116,7 +119,6 @@ def simulate_trajectories(
     rng = np.random.default_rng(seed)
     H = m.timeline.horizon
     occ = np.zeros((H, m.n_partitions), dtype=np.int64)
-    flows = np.zeros((H, m.n_edges), dtype=np.float64)
     records: list[tuple[int, float, int, float, float, float]] = []
 
     # precompute outgoing edge lists as plain python for speed
@@ -135,7 +137,7 @@ def simulate_trajectories(
         # event-driven walk over [0, horizon_s)
         while t < horizon_s:
             dwell = rng.exponential(
-                walk_dwell if rng.random() < walk_prob else shop_dwell
+                WALK_DWELL if rng.random() < WALK_PROB else SHOP_DWELL
             )
             t_leave = min(t + dwell, horizon_s)
             # Attribute each tick to the partition occupied at the tick's
@@ -148,9 +150,9 @@ def simulate_trajectories(
                 occ[lo : hi + 1, v] += 1
             while next_fix < t_leave and next_fix < session_end:
                 if next_fix >= skip_until:
-                    if rng.random() < burst_prob:
-                        skip_until = next_fix + burst_fixes * fix_interval
-                    elif rng.random() >= drop_prob:
+                    if rng.random() < BURST_PROB:
+                        skip_until = next_fix + BURST_FIXES * fix_interval
+                    elif rng.random() >= DROP_PROB:
                         x, y, z = bs.random_point(rng, v)
                         records.append((mac, next_fix, v, x, y, z))
                 next_fix += fix_interval
@@ -161,10 +163,9 @@ def simulate_trajectories(
                 t = t_leave
                 continue
             e = edges[int(rng.integers(0, len(edges)))]
-            flows[m.timeline.tick(t_leave), e] += 1.0
             v = int(m.e_dst[e])
             t = t_leave
     fixes = pd.DataFrame(
         records, columns=["mac", "t", "partition", "x", "y", "z"]
     ).sort_values(["mac", "t"], ignore_index=True)
-    return TrajectoryWorld(occupancy=occ, fixes=fixes, true_edge_flows=flows)
+    return TrajectoryWorld(occupancy=occ, fixes=fixes)

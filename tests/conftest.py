@@ -9,6 +9,8 @@ world, for timing shape and regression digests.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,23 @@ def sparse_lambdas(model, seed: int, lam_max: float = 1.0) -> np.ndarray:
     lam = rng.uniform(0.0, lam_max, model.n_edges)
     lam[rng.permutation(model.n_edges)[: model.n_edges // 2]] = 0.0
     return lam
+
+
+def reference_flow_stats(model, diff, ticks) -> list[tuple[float, float]]:
+    """Strategy NT's ``(μ, σ)`` per partition, written apart from the model's
+    masked reduction: partition ``v``'s net flows ``diff[t, v]`` at the
+    ``ticks`` some door of ``v`` reports at, summed in tick order as the
+    column reductions sum them; ``(0.0, inf)`` where there is none."""
+    stats = []
+    for v in range(model.n_partitions):
+        periods = [int(p) for p in model.door_period[model.part_doors[v]]]
+        xs = [float(diff[t, v]) for t in ticks if any(t % p == 0 for p in periods)]
+        if not xs:
+            stats.append((0.0, math.inf))
+            continue
+        mu = sum(xs) / len(xs)
+        stats.append((mu, math.sqrt(sum((x - mu) * (x - mu) for x in xs) / len(xs))))
+    return stats
 
 
 def make_tiny_space(**overrides) -> BuiltSpace:

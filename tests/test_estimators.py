@@ -1,7 +1,6 @@
 """Tests for the population estimators (Section 4, Algorithms 1–2, PP/NT)."""
 import dataclasses
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from repro.core.search import FPQ, LCPQ, search
 from repro.experiments.harness import model_tq
 from repro.sim.microsim import install_snapshot, simulate
 from repro.space.mall import mall_space
-from tests.conftest import make_tiny_space, sparse_lambdas
+from tests.conftest import make_tiny_space, reference_flow_stats, sparse_lambdas
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +29,7 @@ def world():
 
 def _update_count(model, v, lo, hi):
     """Brute force ``|{t ∈ UT(v) | lo < t ≤ hi}|``: ticks some door period of v divides."""
-    periods = [int(p) for p in model.door_period[model.partition_doors(v)]]
+    periods = [int(p) for p in model.door_period[model.part_doors[v]]]
     return sum(any(t % p == 0 for p in periods) for t in range(lo + 1, hi + 1))
 
 
@@ -64,7 +63,7 @@ def drained(world):
     m.set_lambdas(lam)
     pop = m.pop_l.copy()
     pop[v] = 0.0
-    m.set_snapshot(m.tick_l, pop, m.hist_diff, m.hist_ticks)
+    m.set_snapshot(m.tick_l, pop)
     return m
 
 
@@ -262,24 +261,27 @@ def test_nt_no_history_never_skips():
 
 
 def test_nt_stats_match_per_partition_reference(world):
-    """μ/σ over each partition's own update ticks in the history window,
-    summed in window order as the column reductions sum them."""
-    bs, _ = world
+    """μ/σ over each partition's own update ticks in the history window
+    (ticks 1..10), summed in window order as the column reductions sum them."""
+    bs, sim = world
     m = bs.model
     nt = NTEstimator(m)
-    for v in range(m.n_partitions):
-        periods = [int(p) for p in m.door_period[m.partition_doors(v)]]
-        xs = [
-            float(m.hist_diff[w, v])
-            for w, t in enumerate(m.hist_ticks)
-            if any(t % p == 0 for p in periods)
-        ]
-        if not xs:
-            assert nt.stats(v) == (0.0, math.inf)
-            continue
-        mu = sum(xs) / len(xs)
-        sigma = math.sqrt(sum((x - mu) * (x - mu) for x in xs) / len(xs))
-        assert nt.stats(v) == (mu, sigma)
+    ref = reference_flow_stats(m, sim.diff, range(1, 11))
+    assert [nt.stats(v) for v in range(m.n_partitions)] == ref
+
+
+def test_default_world_nt_skip_share(default_world):
+    """Pins NT's skip share on the Table-2 default world: all 721 partitions
+    have σ < η = 3 (the largest reads 2.1189), so NT answers every lookup
+    past ``t_l`` by Eq. 7 and no Table-2 default exercises its PP fallback.
+    The fallback is covered on the tiny world instead
+    (``test_nt_falls_back_to_pp_when_unstable``,
+    ``test_nt_no_history_never_skips``)."""
+    m = default_world.model
+    sigma = np.array([s for _, s in m.flow_stats])
+    assert len(sigma) == m.n_partitions
+    assert (sigma < NTEstimator(m).eta).mean() == 1.0
+    assert sigma.max() == pytest.approx(2.11888400378303, rel=1e-12)
 
 
 @pytest.mark.parametrize("tick", [12, 25, 50])

@@ -36,7 +36,7 @@ def test_q_partitions_have_two_doors():
     m = bs.model
     for v in np.flatnonzero(m.is_q):
         # two doors counted on the floor's own doors (stairs excepted)
-        assert len(m.partition_doors(v)) >= 2
+        assert len(m.part_doors[v]) >= 2
 
 
 def test_strong_connectivity():
@@ -84,15 +84,6 @@ def test_lambda_symmetric_per_door():
     assert all(len(v) == 1 for v in by_door.values())
 
 
-def test_lambda_asymmetric_option():
-    bs = make_tiny_space(lam_symmetric=False)
-    m = bs.model
-    by_door = collections.defaultdict(set)
-    for d, lam in zip(m.e_door, m.e_lam):
-        by_door[int(d)].add(round(float(lam), 12))
-    assert any(len(v) == 2 for v in by_door.values())
-
-
 def test_lambda_range():
     m = synthetic_space(floors=1).model
     assert (m.e_lam >= 0).all() and (m.e_lam <= 3.0).all()
@@ -129,7 +120,7 @@ def test_stair_walking_distance():
     bs = synthetic_space(floors=2)
     m = bs.model
     v = int(np.flatnonzero(m.stair_len > 0)[0])
-    doors = m.partition_doors(v)
+    doors = m.part_doors[v]
     a, b = int(doors[0]), int(doors[1])
     assert _leg(float(m.stair_len[v]), a, tuple(m.door_xyz[a]), b, tuple(m.door_xyz[b])) == 20.0
 

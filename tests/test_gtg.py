@@ -11,7 +11,7 @@ from repro.gtg.search import gtg_search
 def _gtg_edge_formula(m):
     """Appendix A: ``Σ_v |D_v|·(|D_v|−1)`` ordered door pairs per partition."""
     return sum(
-        len(m.partition_doors(v)) * (len(m.partition_doors(v)) - 1)
+        len(m.part_doors[v]) * (len(m.part_doors[v]) - 1)
         for v in range(m.n_partitions)
     )
 
@@ -36,14 +36,14 @@ def test_adjacency_matches_sizes(tiny_space):
     adj = build_gtg(m)
     expect = {}
     for v in range(m.n_partitions):
-        doors = m.partition_doors(v)
+        doors = m.part_doors[v]
         for d in doors:
             expect[int(d)] = expect.get(int(d), 0) + len(doors) - 1
     got = {d: len(outs) for d, outs in adj.items()}
     assert got == {d: k for d, k in expect.items() if k}
     for d_i, outs in adj.items():
         for d_j, v, _ in outs:
-            assert {d_i, d_j} <= set(m.partition_doors(v).tolist())
+            assert {d_i, d_j} <= set(m.part_doors[v].tolist())
 
 
 def test_adjacency_distances_symmetric(tiny_space):
@@ -76,5 +76,5 @@ def test_gtg_path_valid(tiny_world):
     assert r.partitions[0] == inst.ps.partition
     assert r.partitions[-1] == inst.pt.partition
     for i, d in enumerate(r.doors):
-        assert d in set(map(int, m.partition_doors(r.partitions[i])))
-        assert d in set(map(int, m.partition_doors(r.partitions[i + 1])))
+        assert d in set(map(int, m.part_doors[r.partitions[i]]))
+        assert d in set(map(int, m.part_doors[r.partitions[i + 1]]))

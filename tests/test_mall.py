@@ -85,12 +85,6 @@ def test_trajectories_deterministic(mall):
     assert np.array_equal(a.occupancy, b.occupancy)
 
 
-def test_true_edge_flows_recorded(traj, mall):
-    # crossings happen and are attributed to real edges
-    assert traj.true_edge_flows.sum() > 0
-    assert traj.true_edge_flows.shape == (120, mall.model.n_edges)
-
-
 def test_no_spawn_in_stairwells(mall, traj):
     first = traj.fixes.groupby("mac").first()
     # fixes can be anywhere, but occupancy at tick 0 excludes stairs

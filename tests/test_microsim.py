@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.microsim import apportion, install_snapshot, simulate
-from tests.conftest import make_tiny_space
+from tests.conftest import make_tiny_space, reference_flow_stats
 
 
 @pytest.fixture(scope="module")
@@ -79,20 +79,25 @@ def test_unknown_flow_mode_rejected(space):
 
 
 def test_install_snapshot_window(space):
+    """NT's statistics are reduced over exactly the trailing 8 ticks 13..20:
+    a window one tick longer or shorter reads differently."""
     m = space.model
     sim = simulate(m, space.pop0, seed=11)
     install_snapshot(m, sim.pop, sim.diff, tick_l=20, window=8)
     assert m.tick_l == 20
     assert np.array_equal(m.pop_l, sim.pop[20].astype(float))
-    assert m.hist_ticks.tolist() == list(range(13, 21))
-    assert m.hist_diff.shape == (8, m.n_partitions)
+    assert m.flow_stats == reference_flow_stats(m, sim.diff, range(13, 21))
+    assert m.flow_stats != reference_flow_stats(m, sim.diff, range(12, 21))
+    assert m.flow_stats != reference_flow_stats(m, sim.diff, range(14, 21))
 
 
 def test_install_snapshot_clamps_window(space):
+    """The window starts at tick 1: tick 0 carries no flow."""
     m = space.model
     sim = simulate(m, space.pop0, seed=11)
     install_snapshot(m, sim.pop, sim.diff, tick_l=3, window=30)
-    assert m.hist_ticks.tolist() == [1, 2, 3]
+    assert m.flow_stats == reference_flow_stats(m, sim.diff, [1, 2, 3])
+    assert m.flow_stats != reference_flow_stats(m, sim.diff, [0, 1, 2, 3])
 
 
 @given(

@@ -33,7 +33,8 @@ def test_every_edge_indexed_exactly_once(tiny_space):
 
 def test_partition_doors_union_on_one_way_model():
     """``D_v`` is the union of the doors ``v`` can be left and entered by,
-    also where the two differ: partition 0's out-edges removed."""
+    also where the two differ: partition 0's out-edges removed.  Its edge
+    list is still an empty int64 array, and every list is ascending."""
     from tests.conftest import make_tiny_space
 
     m = make_tiny_space().model
@@ -47,9 +48,11 @@ def test_partition_doors_union_on_one_way_model():
     m.__post_init__()
     assert len(m.out_edges[0]) == 0 and len(m.in_edges[0]) > 0
     for v in range(m.n_partitions):
+        for edges in (m.out_edges[v], m.in_edges[v]):
+            assert edges.dtype == np.int64 and (np.diff(edges) > 0).all()
         leave = {int(d) for d in m.e_door[m.out_edges[v]]}
         enter = {int(d) for d in m.e_door[m.in_edges[v]]}
-        assert m.partition_doors(v).tolist() == sorted(leave | enter)
+        assert m.part_doors[v].tolist() == sorted(leave | enter)
 
 
 def _d2d(m, v, a, b):
@@ -60,14 +63,14 @@ def _d2d(m, v, a, b):
 def test_d2d_zero_same_door(tiny_space):
     m = tiny_space.model
     v = 0
-    d = int(m.partition_doors(v)[0])
+    d = int(m.part_doors[v][0])
     assert _d2d(m, v, d, d) == 0.0
 
 
 def test_d2d_symmetric(tiny_space):
     m = tiny_space.model
     for v in range(m.n_partitions):
-        doors = m.partition_doors(v)
+        doors = m.part_doors[v]
         for i in range(len(doors)):
             for j in range(i + 1, len(doors)):
                 a, b = int(doors[i]), int(doors[j])
@@ -77,7 +80,7 @@ def test_d2d_symmetric(tiny_space):
 def test_d2d_is_euclidean_for_rooms(tiny_space):
     m = tiny_space.model
     v = 0
-    doors = m.partition_doors(v)
+    doors = m.part_doors[v]
     if len(doors) >= 2:
         a, b = int(doors[0]), int(doors[1])
         assert _d2d(m, v, a, b) == pytest.approx(
@@ -89,7 +92,7 @@ def test_point_to_door(tiny_space, rng):
     m = tiny_space.model
     v = 3
     p = IndoorPoint(v, tiny_space.random_point(rng, v))
-    d = int(m.partition_doors(v)[0])
+    d = int(m.part_doors[v][0])
     leg = _leg(float(m.stair_len[v]), _SOURCE, p.xyz, d, tuple(m.door_xyz[d]))
     assert leg == pytest.approx(euclid(p.coords(), m.door_xyz[d]))
 
@@ -99,7 +102,7 @@ def test_part_periods_union_of_doors(tiny_space):
     m = tiny_space.model
     L = m.hyperperiod
     for v in range(m.n_partitions):
-        periods = m.door_period[m.partition_doors(v)]
+        periods = m.door_period[m.part_doors[v]]
         for t in range(1, 2 * L + 1):
             expect = bool(reporting_mask(periods, t).any())
             assert m.part_updates[t % L, v] == expect

@@ -192,9 +192,8 @@ def test_crowd_awareness_changes_route():
     mid = base.partitions[len(base.partitions) // 2]
     crowded = m.pop_l.copy()
     crowded[mid] = m.cap[mid] * 40  # absurdly crowded → enormous ρ
-    m.set_snapshot(m.tick_l, crowded, m.hist_diff, m.hist_ticks)
+    m.set_snapshot(m.tick_l, crowded)
     diverted = search(m, GlobalEstimator(m), ps, pt, 100.0, FPQ)
-    m.set_snapshot(m.tick_l, sim.pop[10].astype(float), m.hist_diff, m.hist_ticks)
     assert mid not in diverted.partitions
     assert diverted.time > 0
 

@@ -117,7 +117,7 @@ def _stair_pairs(model):
     """``(stair_len, straight line)`` for each pair of doors of each stairway."""
     out = []
     for v in np.flatnonzero(model.stair_len > 0):
-        for a, b in combinations(model.partition_doors(int(v)), 2):
+        for a, b in combinations(model.part_doors[int(v)], 2):
             out.append((float(model.stair_len[v]), euclid(model.door_xyz[a], model.door_xyz[b])))
     return out
 

@@ -122,7 +122,7 @@ def _reference_subpath_weights(m, v0, v1, max_extra_hops=3):
     max_hops = hops[v1] + max_extra_hops
 
     def centroid(v):
-        return m.door_xyz[m.partition_doors(v)].mean(axis=0)
+        return m.door_xyz[m.part_doors[v]].mean(axis=0)
 
     def seg(u, w):
         best_e, best_len = None, np.inf
